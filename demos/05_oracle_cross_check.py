@@ -1,8 +1,9 @@
-"""Engine vs oracle: the independent homomorphism search arbitrates.
+"""Engine vs oracle: the independent lifting oracle arbitrates.
 
-Every closed-form verdict is matched against exhaustive lifting searches
-into U4(Z/l) and its central quotient. A found lift is a concrete matrix
-assignment; this script prints one and re-verifies it by multiplication.
+Every closed-form verdict is matched against the oracle's lifting questions
+into U4(Z/l) and its central quotient, each decided by one exact linear
+solve over Z/l. A found lift is a concrete matrix assignment; this script
+prints one and re-verifies it by multiplication.
 """
 
 import itertools

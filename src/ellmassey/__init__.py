@@ -2,7 +2,7 @@
 
 The package decides whether triple Massey products in H^1(E, Z/l) vanish,
 via closed-form criteria driven by the Frobenius action on torsion, and
-cross-checks every verdict with an exhaustive homomorphism-lifting oracle
+cross-checks every verdict with an independent homomorphism-lifting oracle
 into unitriangular matrix groups.
 """
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
 
 from . import ec, ff, galois, massey, oracle
-from .errors import EllmasseyError, InputError, SearchExhausted
+from .errors import CaseMismatch, EllmasseyError, InputError, SearchExhausted
 from .ff import DEFAULT_SEED
 
 CASE_FLAGS = ("full3", "split", "unipotent")
@@ -112,7 +113,10 @@ def cmd_search(args) -> int:
                 "split": galois.GaloisCase.SPLIT_LINE,
                 "unipotent": galois.GaloisCase.UNIPOTENT_LINE,
             }[args.case]
-            assert case is expected
+            if case is not expected:
+                raise CaseMismatch(
+                    f"p={p} a={a} b={b}: rank {rank} at ell={ell} but Frobenius case {case.value}"
+                )
             rows.append(
                 {
                     "p": p,
@@ -168,11 +172,23 @@ def _select_triples(chars, spec_parts, seed):
     if mode == "same-char":
         return [(chi, chi, chi) for chi in chars], "same-char"
     if mode == "sample":
-        count = int(spec_parts[1]) if len(spec_parts) > 1 else 200
-        rng = random.Random(seed)
-        pool = [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)]
-        return pool, f"sample {count}"
+        return _sample_triples(chars, spec_parts, seed, "--triples")
     raise InputError("--triples must be all, same-char, or sample [N]")
+
+
+def _sample_triples(chars, spec_parts, seed, flag):
+    """``sample [N]``: N seeded uniform triples (default 200), and the mode label."""
+    text = spec_parts[1] if len(spec_parts) > 1 else "200"
+    bad = InputError(f"{flag} sample count must be a non-negative integer, got {text!r}")
+    try:
+        count = int(text)
+    except ValueError as exc:
+        raise bad from exc
+    if count < 0:
+        raise bad
+    rng = random.Random(seed)
+    triples = [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)]
+    return triples, f"sample {count}"
 
 
 def _report_matrices(curve, group, seed):
@@ -188,18 +204,12 @@ def _report_matrices(curve, group, seed):
     factors = ff.factor_monic_squarefree(curve.base, [c.coeffs for c in psi], seed=seed)
     degree = 1
     for d, _ in factors:
-        degree = degree * d // _gcd(degree, d)
+        degree = degree * d // math.gcd(degree, d)
     if 2 * degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None
     basis = ec.torsion_basis(curve, group.ell, seed=seed)
     action = ec.frobenius_matrix(basis)
     return action, action if group.ell == group.ell_prime else None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _constants_json(group):
@@ -283,10 +293,7 @@ def cmd_verify(args) -> int:
             )
         triples, mode = list(itertools.product(chars, repeat=3)), "exhaustive"
     elif mode_parts[0] == "sample":
-        count = int(mode_parts[1]) if len(mode_parts) > 1 else 200
-        rng = random.Random(args.seed)
-        triples = [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)]
-        mode = f"sample {count}"
+        triples, mode = _sample_triples(chars, mode_parts, args.seed, "--mode")
     else:
         raise InputError("--mode must be exhaustive or sample [N]")
     mismatches = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import isqrt
+from math import gcd
 
 from . import ff
 from .errors import (
@@ -186,7 +186,7 @@ class TorsionAction:
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(tuple(v % n for v in row) for row in entries)
-        if _det2(self.entries, n) == 0 or _gcd(_det2(self.entries, n), n) != 1:
+        if _det2(self.entries, n) == 0 or gcd(_det2(self.entries, n), n) != 1:
             raise NotInSpan("torsion action matrix is not invertible")
 
     def det(self) -> int:
@@ -217,12 +217,6 @@ class TorsionAction:
 
 def _det2(entries, n):
     return (entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]) % n
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +327,6 @@ def _raw_elements(F: ExtField):
     import itertools
 
     return itertools.product(range(F.p), repeat=F.k)
-
-
-def trace_of_frobenius(curve: Curve) -> int:
-    """t = q + 1 - #E(F_q); satisfies |t| <= 2*sqrt(q)."""
-    q = curve.base.order
-    t = q + 1 - count_points(curve)
-    assert abs(t) <= 2 * isqrt(q) + 1
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +452,7 @@ def _torsion_field_degree(curve: Curve, n: int, seed: int):
     factors = ff.factor_monic_squarefree(F, psi, seed=seed)
     k1 = 1
     for d, _ in factors:
-        k1 = k1 * d // _gcd(k1, d)
+        k1 = k1 * d // gcd(k1, d)
     need_double = False
     a, b = curve.a.coeffs, curve.b.coeffs
     h = [b, a, F.zero_raw, F.one_raw]

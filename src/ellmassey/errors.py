@@ -73,6 +73,10 @@ class CaseMismatch(EllmasseyError):
     """Galois-case normalization did not produce the expected matrix shape."""
 
 
+class UnsoundLift(EllmasseyError):
+    """Internal inconsistency: a lift found by the oracle fails a relation."""
+
+
 class WrongPrime(InputError):
     pass
 

@@ -428,13 +428,6 @@ def poly_trim(F: ExtField, f: list) -> list:
     return f
 
 
-def poly_add(F, f, g):
-    out = []
-    for a, b in itertools.zip_longest(f, g, fillvalue=F.zero_raw):
-        out.append(F.radd(a, b))
-    return poly_trim(F, out)
-
-
 def poly_sub(F, f, g):
     out = []
     for a, b in itertools.zip_longest(f, g, fillvalue=F.zero_raw):

@@ -87,16 +87,6 @@ def mat_inv(A, n):
     )
 
 
-def mat_pow(A, e, n):
-    R = mat_id()
-    while e:
-        if e & 1:
-            R = mat_mul(R, A, n)
-        A = mat_mul(A, A, n)
-        e >>= 1
-    return R
-
-
 def mat_apply(A, v, n):
     return ((A[0][0] * v[0] + A[0][1] * v[1]) % n, (A[1][0] * v[0] + A[1][1] * v[1]) % n)
 
@@ -138,21 +128,12 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators with orders and defining relations, oracle-ready.
-
-    ``search_order`` fixes the order in which the lifting oracle assigns
-    generator images for the full-lift search; ``center_search_order`` does
-    the same for the center-quotient search (the two searches prune on
-    different relations, so their efficient orders differ). Both are fixed,
-    so found witnesses are reproducible.
-    """
+    """Generators with orders and defining relations, oracle-ready."""
 
     ell: int
     gen_names: tuple[str, ...]
     orders: tuple[int, ...]
     relations: tuple[Relation, ...]
-    search_order: tuple[int, ...]
-    center_search_order: tuple[int, ...]
 
 
 def _build_relations(n_torsion: int, orders, xi, lprime, has_phi: bool):
@@ -222,23 +203,11 @@ class GbarGroup:
     def presentation(self) -> Presentation:
         if self._presentation is None:
             rank = self.rank
-            orders = self.torsion_orders + (self.ell_prime,)
-            if self.case is GaloisCase.UNIPOTENT_LINE:
-                # full search: mprime first, so the central pruning on the
-                # phi-mprime relation bites; center search: mprime last, since
-                # only the phi-m relation constrains the quotient lift
-                search = (0, 2, 1)
-                center = (1, 2, 0)
-            else:
-                search = tuple(range(rank + 1))
-                center = search
             self._presentation = Presentation(
                 ell=self.ell,
                 gen_names=self.gen_names,
-                orders=orders,
+                orders=self.torsion_orders + (self.ell_prime,),
                 relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, True),
-                search_order=search,
-                center_search_order=center,
             )
         return self._presentation
 
@@ -251,8 +220,6 @@ class GbarGroup:
                 gen_names=self.gen_names[:rank],
                 orders=self.torsion_orders,
                 relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, False),
-                search_order=tuple(range(rank)),
-                center_search_order=tuple(range(rank)),
             )
         return self._torsion_presentation
 
@@ -314,6 +281,13 @@ class GbarGroup:
 
     def __repr__(self):
         return f"GbarGroup(ell={self.ell}, case={self.case.value}, order={self.order})"
+
+
+def check_group(g: GbarGroup, *chars: "Character"):
+    """Raise GroupMismatch unless every character belongs to ``g``."""
+    for chi in chars:
+        if chi.group is not g:
+            raise GroupMismatch("character belongs to a different group")
 
 
 class Character:

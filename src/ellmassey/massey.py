@@ -24,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GroupMismatch, WrongPrime
+from .errors import WrongPrime
 from .galois import (
     AbstractGaloisData,
     Character,
     GaloisCase,
     GbarGroup,
     char_word_value,
+    check_group,
     mat_apply,
     mat_det,
     proportional,
@@ -53,12 +54,6 @@ class MasseyVerdict:
         return {"status": self.status.value, "reason": self.reason, "witness": self.witness}
 
 
-def _check_group(g: GbarGroup, *chars: Character):
-    for chi in chars:
-        if chi.group is not g:
-            raise GroupMismatch("character belongs to a different group")
-
-
 def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     """Whether the cup product of the two characters is zero.
 
@@ -66,7 +61,7 @@ def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     split and full-torsion cases it vanishes exactly when the full value
     vectors are proportional (in particular when either character is zero).
     """
-    _check_group(g, chi1, chi2)
+    check_group(g, chi1, chi2)
     if g.case in (GaloisCase.NO_FIXED_POINTS, GaloisCase.UNIPOTENT_LINE):
         return True
     return proportional(chi1, chi2)
@@ -74,7 +69,7 @@ def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
 
 def triple_verdict(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> MasseyVerdict:
     """Closed-form status of the triple Massey product of three characters."""
-    _check_group(g, chi1, chi2, chi3)
+    check_group(g, chi1, chi2, chi3)
     if not cup_vanishes(chi1, chi2, g):
         return MasseyVerdict(VerdictStatus.EMPTY, "cup12-nonzero")
     if not cup_vanishes(chi2, chi3, g):
@@ -159,7 +154,7 @@ def bockstein_vanishes(chi: Character, g: GbarGroup) -> bool:
     Searches all lifts of the generator values (three choices each) and
     checks every defining relation additively mod 9.
     """
-    _check_group(g, chi)
+    check_group(g, chi)
     if g.ell != 3:
         raise WrongPrime("the Bockstein check is defined at ell = 3")
     pres = g.presentation()

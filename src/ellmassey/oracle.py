@@ -1,29 +1,36 @@
-"""Independent lifting oracle: exhaustive homomorphism search into U3 and U4.
+"""Independent lifting oracle: homomorphisms into U3 and U4 by linear algebra.
 
 A triple Massey product is nonempty iff the three characters lift to a
 homomorphism into U4(Z/l) modulo its center, and contains zero iff they lift
-to U4(Z/l) itself; cup products correspond to U3(Z/l) lifts. The oracle
-decides these by searching generator images with the superdiagonal pinned to
-the character values, checking every defining relation of the group with
+to U4(Z/l) itself; cup products correspond to U3(Z/l) lifts (Dwyer's lifting
+criterion). The oracle decides these with the superdiagonal pinned to the
+character values, evaluating every defining relation of the group with
 generic matrix arithmetic.
 
-Search shape: generators are assigned in the presentation's fixed order,
-candidate free entries (u, w) per generator in lexicographic order, and each
-relation is checked as soon as all its generators have images. The (1,4)
-entry is central, so its contribution to a relation residual is linear with
-coefficients equal to the relation's signed exponent sums; the search
-therefore enumerates the non-central entries and finishes with an exact
-linear solve over Z/l for the central ones (equivalent to scanning all l^3
-candidates per generator, and cross-checked in tests against a literal
-brute force). First witness found wins, so witnesses are reproducible.
+With the superdiagonal pinned, the U3/U4 product and inverse never multiply
+two free entries (u, v, w, or the U3 corner) together, so every entry of a
+relation residual is an affine function of the free entries of all generator
+images. The oracle reads each such function off by probing: it evaluates the
+residual at zero and at every unit vector of the unknowns, then solves the
+resulting linear system over Z/l exactly. A lift exists iff the
+superdiagonal residuals vanish and the system is solvable:
+
+  nonempty       unknowns u, w; the u and w slots must vanish
+  contains zero  unknowns u, v, w; all three slots must vanish
+  cup            unknowns the U3 corners; the corner slot must vanish
+
+A witness is the reduced row-echelon solution with every free unknown set
+to 0, so witnesses are reproducible; each is re-verified against every
+relation before it is returned. A literal brute force over all (u, v, w)
+stays alongside for cross-validation.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import GroupMismatch
-from .galois import Character, GbarGroup, Presentation
+from .errors import UnsoundLift
+from .galois import Character, GbarGroup, Presentation, check_group
 from .unitri import (
     U3_ID,
     U4_ID,
@@ -34,6 +41,11 @@ from .unitri import (
     u4_mul_raw,
     u4_pow_raw,
 )
+
+# free-entry slots of a raw U4 tuple (a1, a2, a3, u, v, w) and U3 tuple (a, b, c)
+_U4_QUOTIENT_SLOTS = (3, 5)
+_U4_FULL_SLOTS = (3, 4, 5)
+_U3_CORNER_SLOTS = (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -59,101 +71,21 @@ def _residual_u4(l, images, rel):
     return u4_mul_raw(l, lhs, u4_inv_raw(l, rhs))
 
 
-def _relation_meta(pres: Presentation):
-    """Per relation: generator support and signed exponent sums mod l."""
-    n = len(pres.gen_names)
-    meta = []
-    for rel in pres.relations:
-        support = set()
-        sums = [0] * n
-        for g, e in rel.lhs:
-            support.add(g)
-            sums[g] += e
-        for g, e in rel.rhs:
-            support.add(g)
-            sums[g] -= e
-        meta.append((rel, frozenset(support), tuple(s % pres.ell for s in sums)))
-    return meta
+def _residual_u3(l, images, rel):
+    lhs = _eval_word_u3(l, images, rel.lhs)
+    rhs = _eval_word_u3(l, images, rel.rhs)
+    return u3_mul_raw(l, lhs, u3_inv_raw(l, rhs))
 
 
-class _SearchPlan:
-    """Precomputed search layout for one presentation.
-
-    ``gates[d]`` lists the relations whose full generator support is assigned
-    once depth d of the search order is reached; ``exponents[g]`` collects
-    every power of generator g's image any relation evaluation will need, so
-    each candidate image is raised to each exponent exactly once.
-    """
-
-    __slots__ = ("pres", "meta", "gates", "center_gates", "exponents", "central_rows", "_candidates")
-
-    def __init__(self, pres: Presentation):
-        self.pres = pres
-        self.meta = _relation_meta(pres)
-        n = len(pres.gen_names)
-        self.gates = self._gate(pres.search_order)
-        self.center_gates = self._gate(pres.center_search_order)
-        self.exponents = [{1} for _ in range(n)]
-        for rel in pres.relations:
-            for g, e in rel.lhs + rel.rhs:
-                self.exponents[g].add(e)
-        self.central_rows = [(rel, sums) for rel, _, sums in self.meta if any(sums)]
-        self._candidates: dict = {}
-
-    def _gate(self, order):
-        gates: list[list] = [[] for _ in order]
-        for rel, support, sums in self.meta:
-            depth = max(order.index(g) for g in support) if support else 0
-            gates[depth].append((rel, sums))
-        return gates
-
-    def candidate_list(self, gen: int, superdiag):
-        """All (u, w) candidates for one generator slot, in lexicographic
-        order, each with every power any relation needs; memoized across
-        triples since it depends only on the pinned superdiagonal."""
-        key = (gen, superdiag)
-        cached = self._candidates.get(key)
-        if cached is None:
-            l = self.pres.ell
-            s1, s2, s3 = superdiag
-            exps = self.exponents[gen]
-            cached = [
-                {e: u4_pow_raw(l, (s1, s2, s3, u, 0, w), e) for e in exps}
-                for u in range(l)
-                for w in range(l)
-            ]
-            self._candidates[key] = cached
-        return cached
-
-
-_PLAN_CACHE: dict[Presentation, _SearchPlan] = {}
-
-
-def _plan(pres: Presentation) -> _SearchPlan:
-    plan = _PLAN_CACHE.get(pres)
-    if plan is None:
-        plan = _SearchPlan(pres)
-        _PLAN_CACHE[pres] = plan
-    return plan
-
-
-def _eval_word_cached(l, powers, word):
-    acc = U4_ID
-    for g, e in word:
-        acc = u4_mul_raw(l, acc, powers[g][e])
-    return acc
-
-
-def _residual_cached(l, powers, rel):
-    lhs = _eval_word_cached(l, powers, rel.lhs)
-    if not rel.rhs:
-        return lhs
-    rhs = _eval_word_cached(l, powers, rel.rhs)
-    return u4_mul_raw(l, lhs, u4_inv_raw(l, rhs))
-
+# ---------------------------------------------------------------------------
+# the linear solve
 
 def _solve_linear_mod(eqs, n_unknowns: int, l: int):
-    """Lex-least solution of a small linear system over Z/l, or None."""
+    """A solution of a small linear system over Z/l, or None if inconsistent.
+
+    The system is brought to reduced row-echelon form; the returned solution
+    sets every free (non-pivot) unknown to 0.
+    """
     rows = [list(coeffs) + [rhs % l] for coeffs, rhs in eqs]
     piv_of_col = {}
     r = 0
@@ -179,79 +111,73 @@ def _solve_linear_mod(eqs, n_unknowns: int, l: int):
     return solution
 
 
+def _solve_lift(pres: Presentation, base, slots, residual):
+    """Generator images making every relation residual vanish, or None.
+
+    ``base[i]`` is generator i's image with the superdiagonal pinned and
+    every free entry 0; the unknowns are the entries at ``slots`` of every
+    image, and the residual entries before the first slot are the
+    superdiagonal ones, which no unknown can change. Each residual slot is
+    affine in the unknowns, so its coefficients are read off by probing the
+    residual at ``base`` and at ``base`` plus each unit vector.
+    """
+    l = pres.ell
+    k = len(slots)
+    n_unknowns = k * len(base)
+    eqs = []
+    for rel in pres.relations:
+        r0 = residual(l, base, rel)
+        if any(r0[: slots[0]]):
+            return None
+        rows = [[0] * n_unknowns for _ in slots]
+        for g in sorted({g for g, _ in rel.lhs + rel.rhs}):
+            images = list(base)
+            for j, s in enumerate(slots):
+                images[g] = base[g][:s] + (1,) + base[g][s + 1 :]
+                r1 = residual(l, images, rel)
+                for row, t in zip(rows, slots):
+                    row[g * k + j] = (r1[t] - r0[t]) % l
+        eqs.extend((row, -r0[t]) for row, t in zip(rows, slots))
+    sol = _solve_linear_mod(eqs, n_unknowns, l)
+    if sol is None:
+        return None
+    images = []
+    for g, img in enumerate(base):
+        img = list(img)
+        for j, s in enumerate(slots):
+            img[s] = sol[g * k + j]
+        images.append(tuple(img))
+    return images
+
+
+def _solve_u4(pres: Presentation, superdiags, slots):
+    base = [(s[0] % pres.ell, s[1] % pres.ell, s[2] % pres.ell, 0, 0, 0) for s in superdiags]
+    return _solve_lift(pres, base, slots, _residual_u4)
+
+
 # ---------------------------------------------------------------------------
-# U4 search
+# U4 lifts
 
 def find_full_lift(pres: Presentation, superdiags):
-    """First homomorphism into U4(Z/l) with the given superdiagonals, or None.
+    """A homomorphism into U4(Z/l) with the given superdiagonals, or None.
 
     ``superdiags[i]`` is the pinned (a1, a2, a3) triple for generator i. The
     returned witness maps generator names to complete (a1,a2,a3,u,v,w) tuples
-    and is re-verified against every relation with generic multiplication.
+    and is re-verified against every relation with generic multiplication;
+    a witness that fails raises ``UnsoundLift``.
     """
-    assignment = _search_u4(pres, superdiags, full=True)
-    if assignment is None:
+    images = _solve_u4(pres, superdiags, _U4_FULL_SLOTS)
+    if images is None:
         return None
-    witness = {pres.gen_names[i]: assignment[i] for i in range(len(assignment))}
-    assert lift_is_sound(pres, superdiags, witness)
+    witness = dict(zip(pres.gen_names, images))
+    if not lift_is_sound(pres, superdiags, witness):
+        raise UnsoundLift(f"oracle witness fails a relation: {witness}")
     return witness
 
 
 def center_lift_exists(pres: Presentation, superdiags) -> bool:
     """True iff a homomorphism into U4/Z(U4) with these superdiagonals exists."""
-    return _search_u4(pres, superdiags, full=False) is not None
-
-
-def _search_u4(pres: Presentation, superdiags, full: bool):
-    plan = _plan(pres)
-    l = pres.ell
-    n = len(pres.gen_names)
-    order = pres.search_order if full else pres.center_search_order
-    gates = plan.gates if full else plan.center_gates
-    candidates = [plan.candidate_list(g, tuple(superdiags[g])) for g in range(n)]
-    powers: list = [None] * n
-
-    def descend(depth: int):
-        if depth == n:
-            images = [powers[g][1] for g in range(n)]
-            if not full:
-                return tuple(images)
-            eqs = [
-                (sums, -_residual_cached(l, powers, rel)[4])
-                for rel, sums in plan.central_rows
-            ]
-            if not eqs:
-                return tuple(images)
-            sol = _solve_linear_mod(eqs, n, l)
-            if sol is None:
-                return None
-            final = []
-            for i in range(n):
-                a1, a2, a3, u, _, w = images[i]
-                final.append((a1, a2, a3, u, sol[i], w))
-            return tuple(final)
-
-        gen = order[depth]
-        for cand in candidates[gen]:
-            powers[gen] = cand
-            ok = True
-            for rel, sums in gates[depth]:
-                res = _residual_cached(l, powers, rel)
-                if res[0] or res[1] or res[2] or res[3] or res[5]:
-                    ok = False
-                    break
-                if full and not any(sums) and res[4]:
-                    # no central freedom can absorb this relation
-                    ok = False
-                    break
-            if ok:
-                found = descend(depth + 1)
-                if found is not None:
-                    return found
-        powers[gen] = None
-        return None
-
-    return descend(0)
+    return _solve_u4(pres, superdiags, _U4_QUOTIENT_SLOTS) is not None
 
 
 def lift_is_sound(pres: Presentation, superdiags, witness) -> bool:
@@ -261,7 +187,7 @@ def lift_is_sound(pres: Presentation, superdiags, witness) -> bool:
     for img, pinned in zip(images, superdiags):
         if img[:3] != tuple(v % l for v in pinned):
             return False
-    return all(_residual_u4(l, images, rel) == U4_ID for rel, _, _ in _relation_meta(pres))
+    return all(_residual_u4(l, images, rel) == U4_ID for rel in pres.relations)
 
 
 def find_full_lift_bruteforce(pres: Presentation, superdiags):
@@ -281,48 +207,17 @@ def find_full_lift_bruteforce(pres: Presentation, superdiags):
 
 
 # ---------------------------------------------------------------------------
-# U3 search
+# U3 lifts
 
 def cup_lift_exists(pres: Presentation, diag1, diag2) -> bool:
     """True iff some corner assignment makes the U3-valued map a homomorphism."""
     l = pres.ell
-    n = len(pres.gen_names)
-    order = pres.search_order
-    gates: list[list] = [[] for _ in range(n)]
-    for rel, support, _ in _relation_meta(pres):
-        depth = max(order.index(g) for g in support) if support else 0
-        gates[depth].append(rel)
-    images = [None] * n
-
-    def descend(depth: int) -> bool:
-        if depth == n:
-            return True
-        gen = order[depth]
-        for corner in range(l):
-            images[gen] = (diag1[gen], diag2[gen], corner)
-            ok = True
-            for rel in gates[depth]:
-                lhs = _eval_word_u3(l, images, rel.lhs)
-                rhs = _eval_word_u3(l, images, rel.rhs)
-                if u3_mul_raw(l, lhs, u3_inv_raw(l, rhs)) != U3_ID:
-                    ok = False
-                    break
-            if ok and descend(depth + 1):
-                return True
-        images[gen] = None
-        return False
-
-    return descend(0)
+    base = [(a % l, b % l, 0) for a, b in zip(diag1, diag2)]
+    return _solve_lift(pres, base, _U3_CORNER_SLOTS, _residual_u3) is not None
 
 
 # ---------------------------------------------------------------------------
 # character-level API
-
-def _check_group(g: GbarGroup, *chars: Character):
-    for chi in chars:
-        if chi.group is not g:
-            raise GroupMismatch("character belongs to a different group")
-
 
 def _superdiag3(g: GbarGroup, chi1, chi2, chi3):
     n = len(g.gen_names)
@@ -331,13 +226,13 @@ def _superdiag3(g: GbarGroup, chi1, chi2, chi3):
 
 def oracle_cup(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     """Ground truth for cup-product vanishing: a U3 lift exists."""
-    _check_group(g, chi1, chi2)
+    check_group(g, chi1, chi2)
     return cup_lift_exists(g.presentation(), chi1.values, chi2.values)
 
 
 def oracle_nonempty(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> bool:
     """Ground truth for nonemptiness: a lift into U4 modulo its center exists."""
-    _check_group(g, chi1, chi2, chi3)
+    check_group(g, chi1, chi2, chi3)
     return center_lift_exists(g.presentation(), _superdiag3(g, chi1, chi2, chi3))
 
 
@@ -347,6 +242,6 @@ def oracle_contains_zero(chi1: Character, chi2: Character, chi3: Character, g: G
 
 
 def oracle_lift_witness(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup):
-    """The lexicographically first full U4 lift, or None."""
-    _check_group(g, chi1, chi2, chi3)
+    """A full U4 lift (the row-echelon solution of the lifting system), or None."""
+    check_group(g, chi1, chi2, chi3)
     return find_full_lift(g.presentation(), _superdiag3(g, chi1, chi2, chi3))

@@ -174,14 +174,6 @@ def u4_identity(l: int) -> U4Matrix:
     return U4Matrix(l, 0, 0, 0, 0, 0, 0)
 
 
-def u4_mul(m: U4Matrix, n: U4Matrix) -> U4Matrix:
-    return m * n
-
-
-def u4_inv(m: U4Matrix) -> U4Matrix:
-    return m.inverse()
-
-
 def u4_pow_closed(m: U4Matrix, e: int) -> U4Matrix:
     """m^e, splitting off closed-form l-th powers: m^e = (m^l)^(e//l) * m^(e%l)."""
     if e < 0:

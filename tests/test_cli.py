@@ -252,6 +252,61 @@ def test_verify_exhaustive_rejected_for_ell7(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["x", "abc", "1.5", "-3"])
+def test_verify_bad_sample_count_exit_2(capsys, count):
+    code, data = run_json(
+        capsys, "verify", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
+        "--mode", "sample", count,
+    )
+    assert code == 2
+    assert "sample count" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("count", ["x", "abc", "-3"])
+def test_analyze_bad_sample_count_exit_2(capsys, count):
+    code, data = run_json(
+        capsys, "analyze", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
+        "--triples", "sample", count,
+    )
+    assert code == 2
+    assert "sample count" in data["error"]["message"]
+
+
+def test_sample_count_shared_by_verify_and_analyze(capsys):
+    # both commands draw the same seeded triples from one helper
+    code, verify = run_json(
+        capsys, "verify", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
+        "--mode", "sample", "7",
+    )
+    assert code == 0
+    assert verify["checked"] == 7
+    assert verify["meta"]["mode"] == "sample 7"
+    code, analyze = run_json(
+        capsys, "analyze", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
+        "--triples", "sample", "7",
+    )
+    assert code == 0
+    assert len(analyze["verdicts"]) == 7
+    assert analyze["meta"]["mode"] == "sample 7"
+    code, empty = run_json(
+        capsys, "verify", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
+        "--mode", "sample", "0",
+    )
+    assert code == 0
+    assert empty["checked"] == 0
+
+
+def test_search_case_mismatch_is_an_error_not_an_assert(capsys, monkeypatch):
+    from ellmassey import galois
+
+    monkeypatch.setattr(galois, "classify_case", lambda action: galois.GaloisCase.NO_FIXED_POINTS)
+    code, data = run_json(
+        capsys, "search", "--ell", "3", "--case", "split", "--max-p", "20", "--limit", "1"
+    )
+    assert code == 2
+    assert data["error"]["message"].startswith("CaseMismatch:")
+
+
 def test_galois_check_examples(tmp_path, capsys):
     scalar = tmp_path / "scalar.json"
     scalar.write_text(

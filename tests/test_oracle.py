@@ -7,7 +7,7 @@ import pytest
 
 import fixtures
 from ellmassey import oracle, unitri
-from ellmassey.errors import GroupMismatch
+from ellmassey.errors import GroupMismatch, UnsoundLift
 from ellmassey.oracle import (
     center_lift_exists,
     cup_lift_exists,
@@ -121,8 +121,8 @@ def test_nonempty_equals_cup_pair_condition():
 
 
 def test_structured_search_matches_bruteforce_l3():
-    """The (u,w)-enumeration + central linear solve finds a lift exactly when
-    the literal (u,v,w)^3 brute force does."""
+    """The linear solve finds a lift exactly when the literal (u,v,w)^3
+    brute force does."""
     rng = random.Random(19)
     for case in ("full_torsion", "unipotent_line", "split_line", "no_fixed_points"):
         g = fixtures.group(3, case)
@@ -136,6 +136,66 @@ def test_structured_search_matches_bruteforce_l3():
             assert (fast is None) == (slow is None)
             if slow is not None:
                 assert lift_is_sound(pres, diags, slow)
+
+
+def _center_lift_bruteforce(pres, diags):
+    """Literal scan over all (u, w) per generator: a lift into U4 modulo its
+    center exists iff every relation residual is central."""
+    l = pres.ell
+    space = [
+        [(s[0], s[1], s[2], u, 0, w) for u in range(l) for w in range(l)] for s in diags
+    ]
+    for images in itertools.product(*space):
+        residuals = (oracle._residual_u4(l, images, rel) for rel in pres.relations)
+        if all(r[:4] == (0, 0, 0, 0) and r[5] == 0 for r in residuals):
+            return True
+    return False
+
+
+def _cup_lift_bruteforce(pres, diag1, diag2):
+    """Literal scan over all U3 corners per generator."""
+    l = pres.ell
+    space = [[(a, b, c) for c in range(l)] for a, b in zip(diag1, diag2)]
+    for images in itertools.product(*space):
+        if all(
+            oracle._eval_word_u3(l, images, rel.lhs) == oracle._eval_word_u3(l, images, rel.rhs)
+            for rel in pres.relations
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("case", ["full_torsion", "unipotent_line", "split_line", "no_fixed_points"])
+def test_center_lift_matches_bruteforce_l3(case):
+    rng = random.Random(41)
+    g = fixtures.group(3, case)
+    chars = g.characters()
+    pres = g.presentation()
+    for _ in range(25):
+        c1, c2, c3 = (rng.choice(chars) for _ in range(3))
+        diags = _superdiags(g, c1, c2, c3)
+        assert center_lift_exists(pres, diags) == _center_lift_bruteforce(pres, diags)
+
+
+@pytest.mark.parametrize("case", ["full_torsion", "unipotent_line", "split_line", "no_fixed_points"])
+def test_cup_lift_matches_corner_scan_l3(case):
+    g = fixtures.group(3, case)
+    pres = g.presentation()
+    for c1, c2 in itertools.product(g.characters(), repeat=2):
+        assert cup_lift_exists(pres, c1.values, c2.values) == _cup_lift_bruteforce(
+            pres, c1.values, c2.values
+        )
+
+
+def test_unsound_witness_raises_even_under_optimization(monkeypatch):
+    """The witness re-check is an explicit error, not an assert."""
+    g = fixtures.group(3, "full_torsion")
+    zero = g.characters()[0]
+    monkeypatch.setattr(oracle, "lift_is_sound", lambda pres, diags, witness: False)
+    with pytest.raises(UnsoundLift):
+        oracle_lift_witness(zero, zero, zero, g)
+    with pytest.raises(UnsoundLift):
+        find_full_lift(g.presentation(), _superdiags(g, zero, zero, zero))
 
 
 def test_torsion_restriction_lifts_whenever_nonempty():
