@@ -11,7 +11,8 @@ Subcommands and exit codes:
   galois-check  run an abstract-data checker on a JSON input file
 
   0 success / no mismatch, 1 verification mismatch, 2 input error,
-  3 search exhausted.
+  3 search exhausted, 4 internal error (a consistency check of the
+  program failed).
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
 timing field.
@@ -28,7 +29,7 @@ import sys
 import time
 
 from . import ec, ff, galois, massey, oracle
-from .errors import CaseMismatch, EllmasseyError, InputError, SearchExhausted
+from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, SearchExhausted
 from .ff import DEFAULT_SEED
 
 CASE_FLAGS = ("full3", "split", "unipotent")
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_NO_MATCH = 3
+EXIT_INTERNAL = 4
 
 NO_FIXED_POINTS_REPORT_DEGREE_CAP = 24
 
@@ -87,6 +89,8 @@ def cmd_search(args) -> int:
     if args.max_p > ec.POINT_COUNT_CAP:
         raise InputError(f"--max-p capped at {ec.POINT_COUNT_CAP}")
     limit = args.limit if args.limit is not None else 5
+    if limit < 1:
+        raise InputError(f"--limit must be at least 1, got {limit}")
     rows = []
     for p in _iter_primes(5, args.max_p):
         if p == ell or (6 * ell) % p == 0:
@@ -395,9 +399,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         _error(str(exc))
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _error(str(exc))
         return EXIT_INPUT
+    except InternalError as exc:
+        _error(f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     except EllmasseyError as exc:
         _error(f"{type(exc).__name__}: {exc}")
         return EXIT_INPUT

@@ -192,13 +192,6 @@ class TorsionAction:
     def det(self) -> int:
         return _det2(self.entries, self.n)
 
-    def trace(self) -> int:
-        return (self.entries[0][0] + self.entries[1][1]) % self.n
-
-    def apply(self, vec):
-        (a, c), (b, d) = self.entries
-        return ((a * vec[0] + c * vec[1]) % self.n, (b * vec[0] + d * vec[1]) % self.n)
-
     def reduce(self, m: int) -> "TorsionAction":
         if self.n % m != 0:
             raise FieldMismatch(f"cannot reduce level {self.n} matrix mod {m}")
@@ -437,7 +430,7 @@ def torsion_basis(curve: Curve, n: int, seed: int = DEFAULT_SEED) -> TorsionBasi
     for cand in points:
         if cand == P or point_order_dividing(cand, n) != n:
             continue
-        if _spans(P, cand, n):
+        if len(span_table(P, cand, n)) == n * n:
             Q = cand
             break
     if Q is None:
@@ -482,17 +475,20 @@ def _all_torsion_points(ctx: CurveExt, factors, emb, seed: int) -> list[CurvePoi
     return out
 
 
-def _spans(P: CurvePoint, Q: CurvePoint, n: int) -> bool:
-    """True iff the n^2 combinations iP + jQ are pairwise distinct."""
-    seen = set()
+def span_table(P: CurvePoint, Q: CurvePoint, n: int) -> dict:
+    """{point key: (i, j)} for the combinations iP + jQ with 0 <= i, j < n.
+
+    P and Q span E[n] iff the table has n^2 keys.
+    """
+    table = {}
     row = P.ctx.infinity()
-    for _ in range(n):
+    for i in range(n):
         cur = row
-        for _ in range(n):
-            seen.add(cur.key())
+        for j in range(n):
+            table[cur.key()] = (i, j)
             cur = point_add(cur, Q)
         row = point_add(row, P)
-    return len(seen) == n * n
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +513,8 @@ def frobenius_matrix(basis: TorsionBasis) -> TorsionAction:
     the <= n^2 torsion combinations and returns ((a, c), (b, d)).
     """
     n = basis.n
-    ctx = basis.P.ctx
-    q = ctx.curve.base.order
-    table = {}
-    row = ctx.infinity()
-    for i in range(n):
-        cur = row
-        for j in range(n):
-            table[cur.key()] = (i, j)
-            cur = point_add(cur, basis.Q)
-        row = point_add(row, basis.P)
+    q = basis.P.ctx.curve.base.order
+    table = span_table(basis.P, basis.Q, n)
     try:
         col_p = table[frobenius_endo(basis.P, q).key()]
         col_q = table[frobenius_endo(basis.Q, q).key()]

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Each class names one failure condition of the public API; the CLI maps
-InputError subtypes to exit code 2 and SearchExhausted to exit code 3.
+InputError subtypes to exit code 2, SearchExhausted to exit code 3 and
+InternalError subtypes, which signal a fault in the program rather than in
+its input, to exit code 4.
 """
 
 
@@ -11,6 +13,10 @@ class EllmasseyError(Exception):
 
 class InputError(EllmasseyError):
     """Invalid input data or arguments (CLI exit code 2)."""
+
+
+class InternalError(EllmasseyError):
+    """Internal consistency check failed: a program fault (CLI exit code 4)."""
 
 
 class NotPrime(InputError):
@@ -57,7 +63,7 @@ class NotTorsion(InputError):
     pass
 
 
-class NotInSpan(EllmasseyError):
+class NotInSpan(InternalError):
     """Internal inconsistency: Frobenius image not in the torsion span."""
 
 
@@ -69,11 +75,11 @@ class GroupMismatch(InputError):
     pass
 
 
-class CaseMismatch(EllmasseyError):
+class CaseMismatch(InternalError):
     """Galois-case normalization did not produce the expected matrix shape."""
 
 
-class UnsoundLift(EllmasseyError):
+class UnsoundLift(InternalError):
     """Internal inconsistency: a lift found by the oracle fails a relation."""
 
 

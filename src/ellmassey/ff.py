@@ -6,9 +6,10 @@ coefficients compared first), so element encodings are identical across runs.
 An element is a tuple of k residues (c0, ..., c_{k-1}) meaning
 c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort key.
 
-Root finding uses an exhaustive scan on fields with at most 10^4 elements and
-seeded Cantor-Zassenhaus equal-degree splitting above that, so results and
-runtimes are reproducible.
+Root finding in odd characteristic takes gcd(X^q - X, f) and splits it with
+seeded Cantor-Zassenhaus equal-degree splitting, so results and runtimes are
+reproducible; characteristic 2 keeps an exhaustive scan of fields with at most
+10^4 elements.
 """
 
 from __future__ import annotations
@@ -257,10 +258,6 @@ class ExtField:
             e >>= 1
         return result
 
-    def rfrob(self, a):
-        """a^p, the arithmetic Frobenius on raw coefficients."""
-        return self.rpow(a, self.p)
-
     # -- public element interface ----------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
@@ -416,7 +413,7 @@ def make_field(p: int, k: int) -> ExtField:
 
 def frobenius_power(x: FieldElement) -> FieldElement:
     """x^p, the arithmetic Frobenius; applying it k times gives x back."""
-    return FieldElement(x.field, x.field.rfrob(x.coeffs))
+    return FieldElement(x.field, x.field.rpow(x.coeffs, x.field.p))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +515,9 @@ def roots_in_field(f, F: ExtField, seed: int = DEFAULT_SEED) -> list[FieldElemen
     """All roots of f lying in F, multiplicity one each, canonically sorted.
 
     ``f`` is a polynomial with integer or F-element coefficients, ascending
-    degree. Uses an exhaustive scan when |F| <= 10^4; otherwise gcd with
-    X^|F| - X followed by seeded equal-degree splitting (odd p only).
+    degree. In odd characteristic the roots are the linear factors of
+    gcd(X^|F| - X, f), split apart by seeded equal-degree splitting; in
+    characteristic 2, fields of at most 10^4 elements are scanned exhaustively.
     """
     raw = _raw_poly(f, F)
     if not raw:
@@ -547,45 +545,21 @@ def _raw_poly(f, F: ExtField) -> list:
 def _raw_roots(F: ExtField, raw, seed: int) -> list:
     if len(raw) == 1:
         return []
-    if F.order <= EXHAUSTIVE_ROOT_BOUND:
+    if F.p == 2:
+        if F.order > EXHAUSTIVE_ROOT_BOUND:
+            raise UnsupportedField("large char-2 root search is unsupported")
         return [
             coeffs
-            for coeffs in itertools.product(range(F.p), repeat=F.k)
+            for coeffs in itertools.product(range(2), repeat=F.k)
             if poly_eval(F, raw, coeffs) == F.zero_raw
         ]
-    if F.p == 2:
-        raise UnsupportedField("large char-2 root search is unsupported")
     x = [F.zero_raw, F.one_raw]
-    xq = poly_powmod(F, x, F.order, raw)
-    g = poly_gcd(F, poly_sub(F, xq, x), raw)
-    rng = random.Random(seed)
-    out: list = []
-    _split_linear(F, g, rng, out)
-    return out
-
-
-def _split_linear(F: ExtField, g, rng, out):
-    """Split a product of distinct linear factors into roots (Cantor-Zassenhaus)."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return
-    if deg == 1:
-        # root of x + c0/c1
-        out.append(F.rneg(F.rmul(g[0], F.rinv(g[1]))))
-        return
-    half = (F.order - 1) // 2
-    while True:
-        r = [tuple(rng.randrange(F.p) for _ in range(F.k)) for _ in range(deg)]
-        r = poly_trim(F, r)
-        if not r:
-            continue
-        s = poly_powmod(F, r, half, g)
-        s = poly_sub(F, s, [F.one_raw])
-        d = poly_gcd(F, s, g)
-        if 0 < len(d) - 1 < deg:
-            _split_linear(F, d, rng, out)
-            _split_linear(F, poly_divmod(F, g, d)[0], rng, out)
-            return
+    g = poly_gcd(F, poly_sub(F, poly_powmod(F, x, F.order, raw), x), raw)
+    if len(g) == 1:
+        return []  # no root; splitting a constant would never return
+    linear: list = []
+    _equal_degree_split(F, g, 1, random.Random(seed), linear)
+    return [F.rneg(h[0]) for h in linear]  # each part is monic X + c
 
 
 def factor_monic_squarefree(F: ExtField, f, seed: int = DEFAULT_SEED) -> list:
@@ -705,11 +679,7 @@ class Embedding:
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field != self.src:
             raise FieldMismatch("element not in the embedding's source field")
-        acc = self.dst.zero_raw
-        for c, pw in zip(x.coeffs, self._powers):
-            if c:
-                acc = self.dst.radd(acc, tuple((c * v) % self.dst.p for v in pw))
-        return FieldElement(self.dst, acc)
+        return FieldElement(self.dst, self.raw(x.coeffs))
 
     def raw(self, coeffs) -> tuple:
         acc = self.dst.zero_raw

@@ -477,16 +477,9 @@ def build_gbar(curve: ec.Curve, ell: int, seed: int = DEFAULT_SEED) -> GbarGroup
 
 def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int, lp: int):
     """First point of exact order l' (in canonical point order) not fixed mod l."""
-    pts = []
-    row = basis.P.ctx.infinity()
-    for i in range(lp):
-        cur = row
-        for j in range(lp):
-            pts.append((cur.key(), (i, j)))
-            cur = ec.point_add(cur, basis.Q)
-        row = ec.point_add(row, basis.P)
+    table = ec.span_table(basis.P, basis.Q, lp)
     Abar = tuple(tuple(v % ell for v in r) for r in A)
-    for _, vec in sorted(pts):
+    for _, vec in sorted(table.items()):
         order_ok = any(v % ell for v in vec) if lp == ell else any(v % 3 for v in vec)
         if not order_ok:
             continue
@@ -571,6 +564,13 @@ def _augmented_closure(generators, chi_values):
     return frozenset(seen)
 
 
+def _json_int(value, where: str) -> int:
+    """``value`` if it is a JSON integer; floats, booleans and strings are InvalidData."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidData(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def load_abstract(data: dict) -> AbstractGaloisData:
     """Validate and close the abstract-Galois JSON payload."""
     if not isinstance(data, dict):
@@ -589,12 +589,14 @@ def load_abstract(data: dict) -> AbstractGaloisData:
         raise InvalidData("generators must be a list of 2x2 integer matrices")
     gens = []
     for idx, g in enumerate(raw_gens):
-        try:
-            mat = tuple(tuple(int(v) % 9 for v in row) for row in g)
-        except (TypeError, ValueError) as exc:
-            raise InvalidData(f"generators[{idx}] is not a 2x2 integer matrix") from exc
-        if len(mat) != 2 or any(len(r) != 2 for r in mat):
+        if not isinstance(g, list) or len(g) != 2 or any(
+            not isinstance(row, list) or len(row) != 2 for row in g
+        ):
             raise InvalidData(f"generators[{idx}] is not a 2x2 integer matrix")
+        mat = tuple(
+            tuple(_json_int(v, f"generators[{idx}][{i}][{j}]") % 9 for j, v in enumerate(row))
+            for i, row in enumerate(g)
+        )
         if any((mat[i][j] - (1 if i == j else 0)) % 3 for i in range(2) for j in range(2)):
             raise NotCongruentIdentity(f"generators[{idx}] is not congruent to the identity mod 3")
         if mat_det(mat, 9) % 3 == 0:  # unreachable once = I mod 3 holds; kept as a guard
@@ -603,11 +605,11 @@ def load_abstract(data: dict) -> AbstractGaloisData:
     chis = data["chi_on_generators"]
     if not isinstance(chis, list) or len(chis) != len(gens):
         raise InvalidData("chi_on_generators must parallel the generator list")
-    chis = tuple(int(v) % 3 for v in chis)
+    chis = tuple(_json_int(v, f"chi_on_generators[{i}]") % 3 for i, v in enumerate(chis))
     tor = data["chi_on_torsion"]
     if not isinstance(tor, list) or len(tor) != 2:
         raise InvalidData("chi_on_torsion must be a pair of residues mod 3")
-    tor = (int(tor[0]) % 3, int(tor[1]) % 3)
+    tor = tuple(_json_int(v, f"chi_on_torsion[{i}]") % 3 for i, v in enumerate(tor))
     flags = (data["has_ninth_root"], data["unique_cubic_extension"])
     if not all(isinstance(f, bool) for f in flags):
         raise InvalidData("field flags must be booleans")

@@ -127,17 +127,10 @@ def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
 def _moved_kernel_vector(g: GbarGroup, torsion_values):
     """First order-9 vector a with chi(a) = 0 whose Frobenius image leaves
     the cyclic submodule (Z/9)a; None if every such line is preserved."""
-    lp = g.ell_prime
-    x1, x2 = torsion_values
-    for i in range(lp):
-        for j in range(lp):
-            if i % 3 == 0 and j % 3 == 0:
-                continue
-            if (x1 * i + x2 * j) % 3:
-                continue
-            image = mat_apply(g.xi, (i, j), lp)
-            if not _in_cyclic_span(image, (i, j), lp):
-                return (i, j), image
+    for a in _kernel_vectors(torsion_values):
+        image = mat_apply(g.xi, a, 9)
+        if not _in_cyclic_span(image, a, 9):
+            return a, image
     return None
 
 

@@ -303,8 +303,17 @@ def test_search_case_mismatch_is_an_error_not_an_assert(capsys, monkeypatch):
     code, data = run_json(
         capsys, "search", "--ell", "3", "--case", "split", "--max-p", "20", "--limit", "1"
     )
-    assert code == 2
+    assert code == 4
     assert data["error"]["message"].startswith("CaseMismatch:")
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_search_limit_below_one_exit_2(capsys, limit):
+    code, data = run_json(
+        capsys, "search", "--ell", "3", "--case", "split", "--max-p", "20", "--limit", limit
+    )
+    assert code == 2
+    assert "--limit" in data["error"]["message"]
 
 
 def test_galois_check_examples(tmp_path, capsys):
@@ -352,3 +361,56 @@ def test_galois_check_schema_violation_exit_2(tmp_path, capsys):
     code, data = run_json(capsys, "galois-check", "--input", str(bad), "--theorem", "52")
     assert code == 2
     assert "error" in data
+
+
+
+def test_galois_check_undecodable_file_exit_2(tmp_path, capsys):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b'{"generators": "\xd0\x00"}')
+    code, data = run_json(capsys, "galois-check", "--input", str(bad), "--theorem", "52")
+    assert code == 2
+    assert "error" in data
+
+
+VALID_ABSTRACT = {
+    "generators": [[[1, 3], [0, 1]], [[4, 0], [0, 4]]],
+    "chi_on_generators": [0, 1],
+    "chi_on_torsion": [1, 0],
+    "has_ninth_root": False,
+    "unique_cubic_extension": False,
+}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("chi_on_generators", ["x", 1]),
+        ("chi_on_generators", [1.7, 1]),
+        ("chi_on_generators", [True, 1]),
+        ("chi_on_torsion", [1, "0"]),
+        ("chi_on_torsion", [1.7, 0]),
+        ("chi_on_torsion", [False, 0]),
+        ("generators", [[[1, 3], [0, 1]], [[4.0, 0], [0, 4]]]),
+        ("generators", [[[1, 3], [0, True]], [[4, 0], [0, 4]]]),
+        ("generators", [[[1, 3], [0, "1"]], [[4, 0], [0, 4]]]),
+        ("generators", [[[1, 3], [0, 1]], "ab"]),
+    ],
+    ids=["chi-str", "chi-float", "chi-bool", "tor-str", "tor-float", "tor-bool",
+         "gen-float", "gen-bool", "gen-str", "gen-not-matrix"],
+)
+def test_galois_check_non_integer_entries_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({**VALID_ABSTRACT, field: value}))
+    for theorem in ("52", "11"):
+        code, data = run_json(capsys, "galois-check", "--input", str(path), "--theorem", theorem)
+        assert code == 2
+        assert "error" in data
+
+
+def test_galois_check_valid_abstract_baseline(tmp_path, capsys):
+    # the payload the non-integer cases perturb is itself accepted
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(VALID_ABSTRACT))
+    code, data = run_json(capsys, "galois-check", "--input", str(path), "--theorem", "11")
+    assert code == 0
+    assert data["branch"] == "i"

@@ -10,6 +10,7 @@ from ellmassey.errors import (
     DegreeTooLarge,
     FieldMismatch,
     NotPrime,
+    UnsupportedField,
     ZeroPolynomial,
 )
 
@@ -173,7 +174,7 @@ def test_roots_multiplicity_discarded_and_sorted():
 
 
 def test_roots_large_field_uses_equal_degree_splitting():
-    # 3^10 = 59049 > 10^4 forces the Cantor-Zassenhaus path
+    # three roots among 3^10 = 59049 elements, found by splitting gcd(X^q - X, f)
     F = ff.make_field(3, 10)
     g = F.element(tuple([1, 2, 0, 1, 0, 0, 2, 1, 0, 1]))
     h = F.element(tuple([2, 0, 1, 0, 2, 2, 0, 0, 1, 0]))
@@ -192,7 +193,7 @@ def test_roots_large_field_uses_equal_degree_splitting():
 
 def test_roots_cross_check_exhaustive_small_fields():
     rng = random.Random(7)
-    for p, k in [(5, 2), (3, 4), (11, 1)]:
+    for p, k in [(5, 2), (3, 4), (11, 1), (2, 2)]:
         F = ff.make_field(p, k)
         for _ in range(20):
             coeffs = [F.element(tuple(rng.randrange(p) for _ in range(k))) for _ in range(5)]
@@ -205,6 +206,31 @@ def test_roots_cross_check_exhaustive_small_fields():
                 if sum((c * a**i for i, c in enumerate(coeffs)), F.zero) == F.zero
             ]
             assert got == sorted(brute)
+
+
+def x_q_minus_x(F):
+    """X^q - X over F, whose roots are all q elements of F."""
+    return [F.zero, -F.one] + [F.zero] * (F.order - 2) + [F.one]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2)])
+def test_roots_of_x_q_minus_x_are_the_whole_field(p, k):
+    # odd p: gcd(X^q - X, f) is f itself, a full split on the tiniest fields
+    F = ff.make_field(p, k)
+    assert ff.roots_in_field(x_q_minus_x(F), F) == list(F.elements())
+
+
+@pytest.mark.parametrize("p,quadratic", [(3, [1, 0, 1]), (7, [3, 1, 1])])
+def test_rootless_quadratic_has_no_roots(p, quadratic):
+    F = ff.make_field(p, 1)
+    assert all(sum(c * x**i for i, c in enumerate(quadratic)) % p for x in range(p))
+    assert ff.roots_in_field(quadratic, F) == []
+
+
+def test_char2_root_search_is_capped():
+    # characteristic 2 has only the exhaustive scan, up to 10^4 elements
+    with pytest.raises(UnsupportedField):
+        ff.roots_in_field([1, 1, 1], ff.make_field(2, 14))
 
 
 def test_sqrt_in_field():
