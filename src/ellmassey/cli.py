@@ -15,7 +15,8 @@ Subcommands and exit codes:
   program failed).
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
-timing field.
+timing field. --seed selects the triples of ``sample N`` and is echoed in
+meta.seed; no other result depends on it (search only echoes it).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_NO_MATCH = 3
 EXIT_INTERNAL = 4
 
 NO_FIXED_POINTS_REPORT_DEGREE_CAP = 24
+EXHAUSTIVE_TRIPLE_CAP = 27**3  # the l = 3 full-torsion grid
 
 
 def _emit(payload, fmt="json", csv_rows=None, csv_header=None):
@@ -82,15 +84,12 @@ def cmd_search(args) -> int:
     ell = args.ell
     if ell not in (3, 5, 7):
         raise InputError("--ell must be 3, 5 or 7")
-    if args.case not in CASE_FLAGS:
-        raise InputError(f"--case must be one of {CASE_FLAGS}")
     if args.case == "full3" and ell != 3:
         raise InputError("--case full3 requires --ell 3")
     if args.max_p > ec.POINT_COUNT_CAP:
         raise InputError(f"--max-p capped at {ec.POINT_COUNT_CAP}")
-    limit = args.limit if args.limit is not None else 5
-    if limit < 1:
-        raise InputError(f"--limit must be at least 1, got {limit}")
+    if args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     rows = []
     for p in _iter_primes(5, args.max_p):
         if p == ell or (6 * ell) % p == 0:
@@ -105,11 +104,11 @@ def cmd_search(args) -> int:
                 curve = ec.curve_new(base, a, b)
             except EllmasseyError:
                 continue
-            rank = ec.rational_torsion_rank(curve, ell, seed=args.seed)
+            rank = ec.rational_torsion_rank(curve, ell)
             want = 2 if args.case == "full3" else 1
             if rank != want:
                 continue
-            basis = ec.torsion_basis(curve, ell, seed=args.seed)
+            basis = ec.torsion_basis(curve, ell)
             action = ec.frobenius_matrix(basis)
             case = galois.classify_case(action)
             expected = {
@@ -130,9 +129,9 @@ def cmd_search(args) -> int:
                     "points": ec.count_points(curve),
                 }
             )
-            if len(rows) >= limit:
+            if len(rows) >= args.limit:
                 break
-        if len(rows) >= limit:
+        if len(rows) >= args.limit:
             break
     if not rows:
         raise SearchExhausted(f"no {args.case} curve found for ell={ell} with p <= {args.max_p}")
@@ -195,7 +194,7 @@ def _sample_triples(chars, spec_parts, seed, flag):
     return triples, f"sample {count}"
 
 
-def _report_matrices(curve, group, seed):
+def _report_matrices(curve, group):
     """Frobenius matrices at both levels in the group's normalized basis.
 
     The degenerate case has no torsion part; its level-l matrix is computed
@@ -205,13 +204,13 @@ def _report_matrices(curve, group, seed):
         normalized = group.context["normalized_action"]
         return normalized.reduce(group.ell), normalized
     psi = ec.division_polynomial(curve, group.ell)
-    factors = ff.factor_monic_squarefree(curve.base, [c.coeffs for c in psi], seed=seed)
+    factors = ff.factor_monic_squarefree(curve.base, [c.coeffs for c in psi])
     degree = 1
     for d, _ in factors:
         degree = degree * d // math.gcd(degree, d)
     if 2 * degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None
-    basis = ec.torsion_basis(curve, group.ell, seed=seed)
+    basis = ec.torsion_basis(curve, group.ell)
     action = ec.frobenius_matrix(basis)
     return action, action if group.ell == group.ell_prime else None
 
@@ -226,7 +225,7 @@ def _constants_json(group):
 def cmd_analyze(args) -> int:
     t0 = time.monotonic()
     curve = _build_curve(args)
-    group = galois.build_gbar(curve, args.ell, seed=args.seed)
+    group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
     triples, mode = _select_triples(chars, args.triples, args.seed)
     verdicts = []
@@ -242,7 +241,7 @@ def cmd_analyze(args) -> int:
                 "witness": v.witness,
             }
         )
-    mat_l, mat_lp = _report_matrices(curve, group, args.seed)
+    mat_l, mat_lp = _report_matrices(curve, group)
     payload = {
         "curve": {
             "p": curve.base.p,
@@ -282,18 +281,15 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     curve = _build_curve(args)
-    group = galois.build_gbar(curve, args.ell, seed=args.seed)
+    group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
     mode_parts = args.mode
     if mode_parts[0] == "exhaustive":
-        allowed = group.ell == 3 or (
-            group.case in (galois.GaloisCase.SPLIT_LINE, galois.GaloisCase.UNIPOTENT_LINE)
-            and group.ell <= 5
-        )
-        if not allowed:
+        if len(chars) ** 3 > EXHAUSTIVE_TRIPLE_CAP:
             raise InputError(
-                "exhaustive verification is permitted for ell = 3, or for the "
-                "split/unipotent cases with ell <= 5"
+                f"exhaustive verification is capped at {EXHAUSTIVE_TRIPLE_CAP} triples; "
+                f"this curve has {len(chars)} characters, {len(chars) ** 3} triples "
+                "(use --mode sample N)"
             )
         triples, mode = list(itertools.product(chars, repeat=3)), "exhaustive"
     elif mode_parts[0] == "sample":
@@ -361,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--ell", type=int, required=True)
     p_search.add_argument("--case", required=True, choices=CASE_FLAGS)
     p_search.add_argument("--max-p", dest="max_p", type=int, required=True)
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument("--limit", type=int, default=5)
     p_search.add_argument("--format", choices=("json", "csv"), default="json")
     p_search.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p_search.set_defaults(func=cmd_search)

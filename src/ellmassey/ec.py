@@ -12,6 +12,7 @@ once y^2 = x^3 + ax + b is substituted.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from math import gcd
@@ -22,6 +23,7 @@ from .errors import (
     ExtensionCapExceeded,
     FieldMismatch,
     FieldTooLarge,
+    InternalError,
     NotInSpan,
     NotTorsion,
     SingularCurve,
@@ -288,20 +290,6 @@ def count_points(curve: Curve) -> int:
     if q > POINT_COUNT_CAP:
         raise FieldTooLarge(f"point counting capped at q <= {POINT_COUNT_CAP}")
     F = curve.base
-    if F.k == 1:
-        p = F.p
-        a, b = curve.a.coeffs[0], curve.b.coeffs[0]
-        squares = set()
-        for v in range(p):
-            squares.add(v * v % p)
-        count = 1
-        for x in range(p):
-            rhs = (x * x * x + a * x + b) % p
-            if rhs == 0:
-                count += 1
-            elif rhs in squares:
-                count += 2
-        return count
     squares = set()
     for v in _raw_elements(F):
         squares.add(F.rmul(v, v))
@@ -317,8 +305,6 @@ def count_points(curve: Curve) -> int:
 
 
 def _raw_elements(F: ExtField):
-    import itertools
-
     return itertools.product(range(F.p), repeat=F.k)
 
 
@@ -396,14 +382,15 @@ def _division_raw(curve: Curve, n: int) -> list:
         return res
 
     psi = f(n)
-    assert len(psi) - 1 == (n * n - 1) // 2
+    if len(psi) - 1 != (n * n - 1) // 2:
+        raise InternalError(f"psi_{n} has degree {len(psi) - 1}, expected {(n * n - 1) // 2}")
     return psi
 
 
 # ---------------------------------------------------------------------------
 # torsion bases
 
-def torsion_basis(curve: Curve, n: int, seed: int = DEFAULT_SEED) -> TorsionBasis:
+def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     """Deterministic basis of E[n] over the least extension containing it.
 
     The torsion field degree comes from the factor degrees of psi_n over the
@@ -416,14 +403,15 @@ def torsion_basis(curve: Curve, n: int, seed: int = DEFAULT_SEED) -> TorsionBasi
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
     if n % curve.base.p == 0:
         raise BadCharacteristic("torsion level must be coprime to the characteristic")
-    k, factors = _torsion_field_degree(curve, n, seed)
+    k, factors = _torsion_field_degree(curve, n)
     if curve.base.k * k > ff.MAX_EXT_DEGREE:
         raise ExtensionCapExceeded(f"torsion field degree {curve.base.k * k} exceeds cap")
     big = ff.make_field(curve.base.p, curve.base.k * k)
     emb = ff.embed_field(curve.base, big) if big != curve.base else None
     ctx = curve.over(big)
-    points = _all_torsion_points(ctx, factors, emb, seed)
-    assert len(points) == n * n - 1
+    points = _all_torsion_points(ctx, factors, emb)
+    if len(points) != n * n - 1:
+        raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
     points.sort(key=lambda T: T.key())
     P = next(T for T in points if point_order_dividing(T, n) == n)
     Q = None
@@ -438,11 +426,11 @@ def torsion_basis(curve: Curve, n: int, seed: int = DEFAULT_SEED) -> TorsionBasi
     return TorsionBasis(n, P, Q, k)
 
 
-def _torsion_field_degree(curve: Curve, n: int, seed: int):
+def _torsion_field_degree(curve: Curve, n: int):
     """(k, factors): least k with E[n] rational over F_{q^k}, via psi_n factors."""
     F = curve.base
     psi = _division_raw(curve, n)
-    factors = ff.factor_monic_squarefree(F, psi, seed=seed)
+    factors = ff.factor_monic_squarefree(F, psi)
     k1 = 1
     for d, _ in factors:
         k1 = k1 * d // gcd(k1, d)
@@ -459,7 +447,7 @@ def _torsion_field_degree(curve: Curve, n: int, seed: int):
     return (2 * k1 if need_double else k1), factors
 
 
-def _all_torsion_points(ctx: CurveExt, factors, emb, seed: int) -> list[CurvePoint]:
+def _all_torsion_points(ctx: CurveExt, factors, emb) -> list[CurvePoint]:
     big = ctx.field
     out = []
     for _, g in factors:
@@ -467,9 +455,10 @@ def _all_torsion_points(ctx: CurveExt, factors, emb, seed: int) -> list[CurvePoi
             coeffs = [FieldElement(big, c) for c in g]
         else:
             coeffs = [FieldElement(big, emb.raw(c)) for c in g]
-        for x0 in ff.roots_in_field(coeffs, big, seed=seed):
-            y = ff.sqrt_in_field(ctx.rhs(x0), seed=seed)
-            assert y is not None and not y.is_zero()
+        for x0 in ff.roots_in_field(coeffs, big):
+            y = ff.sqrt_in_field(ctx.rhs(x0))
+            if y is None or y.is_zero():
+                raise InternalError(f"torsion x-coordinate {x0!r} has no nonzero y in the torsion field")
             out.append(CurvePoint(ctx, x0, y))
             out.append(CurvePoint(ctx, x0, -y))
     return out
@@ -521,20 +510,21 @@ def frobenius_matrix(basis: TorsionBasis) -> TorsionAction:
     except KeyError as exc:  # pragma: no cover - signals an internal inconsistency
         raise NotInSpan("Frobenius image outside the torsion span") from exc
     action = TorsionAction(n, [[col_p[0], col_q[0]], [col_p[1], col_q[1]]])
-    assert action.det() == q % n
+    if action.det() != q % n:
+        raise InternalError(f"Frobenius determinant {action.det()} differs from q mod {n} = {q % n}")
     return action
 
 
 # ---------------------------------------------------------------------------
 # Weil pairing
 
-def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int, seed: int = DEFAULT_SEED) -> FieldElement:
+def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int) -> FieldElement:
     """Weil pairing e_n(P, Q), an n-th root of unity in the points' field.
 
     Uses Miller functions with divisors n(P) - n(O) and n(Q) - n(O), the
     second one translated by an auxiliary point R so the supports are
     disjoint; degenerate line evaluations trigger a deterministic retry
-    with the next seeded R.
+    with the next R drawn from the fixed ``DEFAULT_SEED`` stream.
     """
     if P.ctx != Q.ctx:
         raise FieldMismatch("pairing arguments on different curves or fields")
@@ -544,7 +534,7 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int, seed: int = DEFAULT_SEED)
         raise NotTorsion(f"arguments are not {n}-torsion points")
     if P.is_infinity or Q.is_infinity:
         return F.one
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(256):
         R = _random_point(ctx, rng)
         if R is None or R.is_infinity:
@@ -559,7 +549,8 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int, seed: int = DEFAULT_SEED)
             continue
         f1_num, f1_den, f2_den, f2_num = vals
         result = (f1_num * f2_num) / (f1_den * f2_den)
-        assert result**n == F.one
+        if result**n != F.one:
+            raise InternalError(f"Weil pairing value {result!r} is not an {n}-th root of unity")
         return result
     raise NotTorsion("pairing evaluation kept degenerating")  # pragma: no cover
 
@@ -568,7 +559,7 @@ def _random_point(ctx: CurveExt, rng) -> CurvePoint | None:
     F = ctx.field
     x = FieldElement(F, tuple(rng.randrange(F.p) for _ in range(F.k)))
     flip = rng.randrange(2)  # drawn unconditionally to keep the stream aligned
-    y = ff.sqrt_in_field(ctx.rhs(x), seed=rng.randrange(1 << 30))
+    y = ff.sqrt_in_field(ctx.rhs(x))
     if y is None:
         return None
     return CurvePoint(ctx, x, -y if flip else y)
@@ -624,27 +615,34 @@ def _line_quotient(A: CurvePoint, B: CurvePoint, S: CurvePoint):
 # rational torsion structure (used by classification and search)
 
 @lru_cache(maxsize=4096)
-def _rational_rank_cached(curve: Curve, ell: int, seed: int) -> int:
+def _rational_rank_cached(curve: Curve, ell: int) -> int:
+    """Rank of E(F_q)[ell] from its point count, without finding any root.
+
+    g = gcd(X^q - X, psi_ell) vanishes exactly at the rational x-coordinates
+    of E[ell] - {O}; such an x carries two rational points iff rhs(x) is a
+    nonzero square, i.e. a root of rhs^((q-1)/2) - 1. So the count is
+    1 + 2 * deg gcd(g, rhs^((q-1)/2) - 1 mod g).
+    """
     F = curve.base
     psi = _division_raw(curve, ell)
+    x = [F.zero_raw, F.one_raw]
+    g = ff.poly_gcd(F, ff.poly_sub(F, ff.poly_powmod(F, x, F.order, psi), x), psi)
     count = 1
-    half = (F.order - 1) // 2
-    for x0 in ff.roots_in_field([FieldElement(F, c) for c in psi], F, seed=seed):
-        rhs = curve.ext().rhs(x0)
-        if rhs.is_zero():
-            continue  # order-2 point, impossible for odd ell
-        if F.rpow(rhs.coeffs, half) == F.one_raw:
-            count += 2
+    if len(g) > 1:
+        rhs = [curve.b.coeffs, curve.a.coeffs, F.zero_raw, F.one_raw]
+        s = ff.poly_sub(F, ff.poly_powmod(F, rhs, (F.order - 1) // 2, g), [F.one_raw])
+        count += 2 * (len(ff.poly_gcd(F, s, g)) - 1)
     if count == 1:
         return 0
     if count == ell:
         return 1
-    assert count == ell * ell
+    if count != ell * ell:
+        raise InternalError(f"E(F_q)[{ell}] has {count} points, not a power of {ell}")
     return 2
 
 
-def rational_torsion_rank(curve: Curve, ell: int, seed: int = DEFAULT_SEED) -> int:
+def rational_torsion_rank(curve: Curve, ell: int) -> int:
     """Rank r in {0,1,2} of E(F_q)[ell] (the Frobenius-fixed points of E[ell])."""
     if ell not in (3, 5, 7):
         raise UnsupportedLevel("rational torsion rank implemented for ell in {3,5,7}")
-    return _rational_rank_cached(curve, ell, seed)
+    return _rational_rank_cached(curve, ell)

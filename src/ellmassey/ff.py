@@ -7,9 +7,11 @@ An element is a tuple of k residues (c0, ..., c_{k-1}) meaning
 c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort key.
 
 Root finding in odd characteristic takes gcd(X^q - X, f) and splits it with
-seeded Cantor-Zassenhaus equal-degree splitting, so results and runtimes are
-reproducible; characteristic 2 keeps an exhaustive scan of fields with at most
-10^4 elements.
+Cantor-Zassenhaus equal-degree splitting; characteristic 2 keeps an exhaustive
+scan of fields with at most 10^4 elements. Every Las Vegas routine here draws
+from its own ``random.Random(DEFAULT_SEED)`` stream, and every result is
+canonical (roots and factors sorted, the smaller square root), so the stream
+only decides how long a call takes, never what it returns.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 from .errors import (
     DegreeTooLarge,
     FieldMismatch,
+    InternalError,
     NotPrime,
     UnsupportedField,
     ZeroPolynomial,
@@ -408,7 +411,7 @@ def make_field(p: int, k: int) -> ExtField:
         candidate = coeffs + [1]
         if _ip_is_irreducible(candidate, p):
             return ExtField(p, k, tuple(candidate))
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InternalError(f"no irreducible polynomial of degree {k} over GF({p})")  # unreachable
 
 
 def frobenius_power(x: FieldElement) -> FieldElement:
@@ -511,12 +514,12 @@ def poly_deriv(F, f):
 # ---------------------------------------------------------------------------
 # root finding
 
-def roots_in_field(f, F: ExtField, seed: int = DEFAULT_SEED) -> list[FieldElement]:
+def roots_in_field(f, F: ExtField) -> list[FieldElement]:
     """All roots of f lying in F, multiplicity one each, canonically sorted.
 
     ``f`` is a polynomial with integer or F-element coefficients, ascending
     degree. In odd characteristic the roots are the linear factors of
-    gcd(X^|F| - X, f), split apart by seeded equal-degree splitting; in
+    gcd(X^|F| - X, f), split apart by equal-degree splitting; in
     characteristic 2, fields of at most 10^4 elements are scanned exhaustively.
     """
     raw = _raw_poly(f, F)
@@ -524,7 +527,7 @@ def roots_in_field(f, F: ExtField, seed: int = DEFAULT_SEED) -> list[FieldElemen
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
     if len(raw) - 1 > MAX_ROOT_DEGREE:
         raise DegreeTooLarge(f"degree {len(raw) - 1} exceeds {MAX_ROOT_DEGREE}")
-    roots = _raw_roots(F, raw, seed)
+    roots = _raw_roots(F, raw)
     return sorted(FieldElement(F, r) for r in roots)
 
 
@@ -542,7 +545,7 @@ def _raw_poly(f, F: ExtField) -> list:
     return poly_trim(F, raw)
 
 
-def _raw_roots(F: ExtField, raw, seed: int) -> list:
+def _raw_roots(F: ExtField, raw) -> list:
     if len(raw) == 1:
         return []
     if F.p == 2:
@@ -558,14 +561,14 @@ def _raw_roots(F: ExtField, raw, seed: int) -> list:
     if len(g) == 1:
         return []  # no root; splitting a constant would never return
     linear: list = []
-    _equal_degree_split(F, g, 1, random.Random(seed), linear)
+    _equal_degree_split(F, g, 1, random.Random(DEFAULT_SEED), linear)
     return [F.rneg(h[0]) for h in linear]  # each part is monic X + c
 
 
-def factor_monic_squarefree(F: ExtField, f, seed: int = DEFAULT_SEED) -> list:
+def factor_monic_squarefree(F: ExtField, f) -> list:
     """Irreducible factors of a monic squarefree polynomial over F.
 
-    Distinct-degree factorization followed by seeded equal-degree splitting
+    Distinct-degree factorization followed by equal-degree splitting
     (odd characteristic). Returns (degree, factor) pairs sorted by degree and
     then by coefficient tuples, so the order is reproducible.
     """
@@ -574,7 +577,7 @@ def factor_monic_squarefree(F: ExtField, f, seed: int = DEFAULT_SEED) -> list:
     f = poly_monic(F, list(f))
     if len(poly_gcd(F, f, poly_deriv(F, f))) != 1:
         raise ZeroPolynomial("factor_monic_squarefree needs a squarefree polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     stages = []
     x = [F.zero_raw, F.one_raw]
     h = list(x)
@@ -617,11 +620,11 @@ def _equal_degree_split(F: ExtField, g, d: int, rng, out):
             return
 
 
-def sqrt_in_field(c: FieldElement, seed: int = DEFAULT_SEED) -> FieldElement | None:
+def sqrt_in_field(c: FieldElement) -> FieldElement | None:
     """Canonically smaller square root of c in its field, or None.
 
     Tonelli-Shanks over the cyclic group F*, with the quadratic non-residue
-    located by a seeded scan; odd characteristic only.
+    located by random draws; odd characteristic only.
     """
     F = c.field
     if F.p == 2:
@@ -636,7 +639,7 @@ def sqrt_in_field(c: FieldElement, seed: int = DEFAULT_SEED) -> FieldElement | N
     while t % 2 == 0:
         t //= 2
         s += 1
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     while True:
         z = tuple(rng.randrange(F.p) for _ in range(F.k))
         if z != F.zero_raw and F.rpow(z, (q - 1) // 2) != F.one_raw:
@@ -690,7 +693,7 @@ class Embedding:
 
 
 @lru_cache(maxsize=None)
-def embed_field(src: ExtField, dst: ExtField, seed: int = DEFAULT_SEED) -> Embedding:
+def embed_field(src: ExtField, dst: ExtField) -> Embedding:
     """Canonical embedding GF(p^k0) into GF(p^k) (requires k0 | k)."""
     if src.p != dst.p:
         raise FieldMismatch("different characteristics")
@@ -698,7 +701,7 @@ def embed_field(src: ExtField, dst: ExtField, seed: int = DEFAULT_SEED) -> Embed
         raise FieldMismatch(f"GF({src.p}^{src.k}) does not embed in GF({dst.p}^{dst.k})")
     if src.k == 1:
         return Embedding(src, dst, dst.zero_raw)
-    roots = roots_in_field(list(src.modulus), dst, seed=seed)
+    roots = roots_in_field(list(src.modulus), dst)
     if not roots:
         raise FieldMismatch("modulus has no root in the target field")  # k0 | k rules this out
     return Embedding(src, dst, roots[0].coeffs)

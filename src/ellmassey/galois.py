@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from . import ec, ff
+from . import ec
 from .errors import (
     CaseMismatch,
     GroupMismatch,
@@ -34,7 +34,6 @@ from .errors import (
     NotInvertible,
     UnsupportedLevel,
 )
-from .ff import DEFAULT_SEED
 
 SUPPORTED_ELLS = (3, 5, 7)
 
@@ -373,7 +372,7 @@ def proportional(chi1: Character, chi2: Character) -> bool:
 # ---------------------------------------------------------------------------
 # building the group from a curve
 
-def build_gbar(curve: ec.Curve, ell: int, seed: int = DEFAULT_SEED) -> GbarGroup:
+def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     """Construct Gbar for the curve at the prime l, normalizing the basis.
 
     full_torsion: generators are the deterministic E[l'] basis itself.
@@ -393,7 +392,7 @@ def build_gbar(curve: ec.Curve, ell: int, seed: int = DEFAULT_SEED) -> GbarGroup
         raise UnsupportedLevel("ell equals the characteristic")
     lp = ell_prime(ell)
     q = curve.base.order
-    rank_fixed = ec.rational_torsion_rank(curve, ell, seed=seed)
+    rank_fixed = ec.rational_torsion_rank(curve, ell)
     if rank_fixed == 2:
         case = GaloisCase.FULL_TORSION
     elif rank_fixed == 0:
@@ -406,7 +405,7 @@ def build_gbar(curve: ec.Curve, ell: int, seed: int = DEFAULT_SEED) -> GbarGroup
     if case is GaloisCase.NO_FIXED_POINTS:
         return GbarGroup(ell, case, (), (), constants=None, context={"q": q})
 
-    basis = ec.torsion_basis(curve, lp, seed=seed)
+    basis = ec.torsion_basis(curve, lp)
     action = ec.frobenius_matrix(basis)
     A = action.entries
 

@@ -7,8 +7,8 @@ criterion). The oracle decides these with the superdiagonal pinned to the
 character values, evaluating every defining relation of the group with
 generic matrix arithmetic.
 
-With the superdiagonal pinned, the U3/U4 product and inverse never multiply
-two free entries (u, v, w, or the U3 corner) together, so every entry of a
+With the superdiagonal pinned, the U4 product and inverse never multiply
+two free entries (u, v, w) together, so every entry of a
 relation residual is an affine function of the free entries of all generator
 images. The oracle reads each such function off by probing: it evaluates the
 residual at zero and at every unit vector of the unknowns, then solves the
@@ -17,7 +17,9 @@ superdiagonal residuals vanish and the system is solvable:
 
   nonempty       unknowns u, w; the u and w slots must vanish
   contains zero  unknowns u, v, w; all three slots must vanish
-  cup            unknowns the U3 corners; the corner slot must vanish
+  cup            U4 with a3 = 0, whose u entry multiplies exactly like the
+                 U3 corner (u + u' + a1*a2', inverse a1*a2 - u); unknown u,
+                 and the u slot must vanish
 
 A witness is the reduced row-echelon solution with every free unknown set
 to 0, so witnesses are reproducible; each is re-verified against every
@@ -31,21 +33,12 @@ import itertools
 
 from .errors import UnsoundLift
 from .galois import Character, GbarGroup, Presentation, check_group
-from .unitri import (
-    U3_ID,
-    U4_ID,
-    u3_inv_raw,
-    u3_mul_raw,
-    u3_pow_raw,
-    u4_inv_raw,
-    u4_mul_raw,
-    u4_pow_raw,
-)
+from .unitri import U4_ID, u4_inv_raw, u4_mul_raw, u4_pow_raw
 
-# free-entry slots of a raw U4 tuple (a1, a2, a3, u, v, w) and U3 tuple (a, b, c)
+# free-entry slots of a raw U4 tuple (a1, a2, a3, u, v, w)
+_U4_CUP_SLOTS = (3,)
 _U4_QUOTIENT_SLOTS = (3, 5)
 _U4_FULL_SLOTS = (3, 4, 5)
-_U3_CORNER_SLOTS = (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +51,10 @@ def _eval_word_u4(l, images, word):
     return acc
 
 
-def _eval_word_u3(l, images, word):
-    acc = U3_ID
-    for g, e in word:
-        acc = u3_mul_raw(l, acc, u3_pow_raw(l, images[g], e))
-    return acc
-
-
 def _residual_u4(l, images, rel):
     lhs = _eval_word_u4(l, images, rel.lhs)
     rhs = _eval_word_u4(l, images, rel.rhs)
     return u4_mul_raw(l, lhs, u4_inv_raw(l, rhs))
-
-
-def _residual_u3(l, images, rel):
-    lhs = _eval_word_u3(l, images, rel.lhs)
-    rhs = _eval_word_u3(l, images, rel.rhs)
-    return u3_mul_raw(l, lhs, u3_inv_raw(l, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +190,13 @@ def find_full_lift_bruteforce(pres: Presentation, superdiags):
 # U3 lifts
 
 def cup_lift_exists(pres: Presentation, diag1, diag2) -> bool:
-    """True iff some corner assignment makes the U3-valued map a homomorphism."""
-    l = pres.ell
-    base = [(a % l, b % l, 0) for a, b in zip(diag1, diag2)]
-    return _solve_lift(pres, base, _U3_CORNER_SLOTS, _residual_u3) is not None
+    """True iff some corner assignment makes the U3-valued map a homomorphism.
+
+    The U3 image (a, b, c) is solved as the U4 image (a, b, 0, c, 0, 0): with
+    a3 = 0 the u entry of U4 products and inverses is exactly the U3 corner.
+    """
+    superdiags = [(a, b, 0) for a, b in zip(diag1, diag2)]
+    return _solve_u4(pres, superdiags, _U4_CUP_SLOTS) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,27 @@ def test_verify_exhaustive_rejected_for_ell7(capsys):
     assert code == 2
 
 
+def test_verify_exhaustive_cap_is_stated(capsys):
+    # l = 5 full torsion: 125 characters, 125^3 triples
+    code, data = run_json(
+        capsys, "verify", "--p", "31", "--a", "0", "--b", "11", "--ell", "5",
+        "--mode", "exhaustive",
+    )
+    assert code == 2
+    assert str(27**3) in data["error"]["message"]
+
+
+def test_verify_exhaustive_no_fixed_points_ell5(capsys):
+    code, data = run_json(
+        capsys, "verify", "--p", "7", "--a", "0", "--b", "1", "--ell", "5",
+        "--mode", "exhaustive",
+    )
+    assert code == 0
+    assert data["case"] == "no_fixed_points"
+    assert data["checked"] == 125
+    assert data["mismatches"] == []
+
+
 @pytest.mark.parametrize("count", ["x", "abc", "1.5", "-3"])
 def test_verify_bad_sample_count_exit_2(capsys, count):
     code, data = run_json(
@@ -305,6 +326,42 @@ def test_search_case_mismatch_is_an_error_not_an_assert(capsys, monkeypatch):
     )
     assert code == 4
     assert data["error"]["message"].startswith("CaseMismatch:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--ell", "3", "--case", "split", "--max-p", "5", "--limit", "1"),
+        ("analyze", "--p", "5", "--a", "0", "--b", "1", "--ell", "3"),
+    ],
+)
+def test_frobenius_inconsistency_exits_4(capsys, monkeypatch, argv):
+    from ellmassey import ec
+
+    monkeypatch.setattr(ec, "frobenius_endo", lambda P, q: P)
+    code, data = run_json(capsys, *argv)
+    assert code == 4
+    assert data["error"]["message"].startswith("InternalError:")
+
+
+def test_search_rows_do_not_depend_on_seed(capsys):
+    args = ("search", "--ell", "3", "--case", "full3", "--max-p", "100", "--limit", "5")
+    code1, d1 = run_json(capsys, *args, "--seed", "1")
+    code2, d2 = run_json(capsys, *args, "--seed", "2")
+    assert code1 == code2 == 0
+    assert d1["rows"] == d2["rows"]
+    assert (d1["meta"]["seed"], d2["meta"]["seed"]) == (1, 2)
+
+
+def test_analyze_verdicts_do_not_depend_on_seed(capsys):
+    # E[9] of this curve lies over an extension, so building the group splits
+    args = ("analyze", "--p", "5", "--a", "0", "--b", "1", "--ell", "3", "--triples", "all")
+    code1, d1 = run_json(capsys, *args, "--seed", "1")
+    code2, d2 = run_json(capsys, *args, "--seed", "2")
+    assert code1 == code2 == 0
+    d1.pop("meta")
+    d2.pop("meta")
+    assert d1 == d2
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])

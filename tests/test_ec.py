@@ -10,6 +10,7 @@ from ellmassey.errors import (
     BadCharacteristic,
     FieldMismatch,
     FieldTooLarge,
+    InternalError,
     NotTorsion,
     SingularCurve,
     UnsupportedLevel,
@@ -353,6 +354,40 @@ def test_rational_torsion_rank():
     assert ec.rational_torsion_rank(ec.curve_new(F5, 0, 1), 3) == 1
     # y^2 = x^3 + x over GF(5): 4 points, no 3-torsion
     assert ec.rational_torsion_rank(ec.curve_new(F5, 1, 0), 3) == 0
+
+
+def _rational_torsion_count(curve, ell):
+    """Oracle: #E(F_p)[ell], the points P of E(F_p) with ell * P = O."""
+    ctx = curve.ext()
+    points = [ctx.point(x, y) for x, y in brute_points(curve)]
+    return 1 + sum(1 for P in points if ec.scalar_mul(ell, P).is_infinity)
+
+
+@pytest.mark.parametrize(
+    "ell,p,one_b_per_a",
+    [(3, 7, False), (3, 13, False), (3, 19, False), (5, 11, False), (7, 29, True)],
+)
+def test_rational_torsion_rank_matches_point_count(ell, p, one_b_per_a):
+    """The rank read off gcd degrees agrees with counting E(F_p)[ell] directly,
+    on every nonsingular curve over GF(p) (one b per a where marked)."""
+    base = ff.make_field(p, 1)
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            c = ec.curve_new(base, a, b)
+            assert ell ** ec.rational_torsion_rank(c, ell) == _rational_torsion_count(c, ell), (a, b)
+            if one_b_per_a:
+                break
+
+
+def test_frobenius_inconsistency_raises_internal_error(monkeypatch):
+    """The determinant check is an explicit error, so it also runs under -O."""
+    c = ec.curve_new(F5, 0, 1)  # split line at ell = 3, q = 5 is not 1 mod 3
+    basis = ec.torsion_basis(c, 3)
+    monkeypatch.setattr(ec, "frobenius_endo", lambda P, q: P)
+    with pytest.raises(InternalError):
+        ec.frobenius_matrix(basis)
 
 
 def test_point_field_mismatch():

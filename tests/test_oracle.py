@@ -152,13 +152,20 @@ def _center_lift_bruteforce(pres, diags):
     return False
 
 
+def _eval_word_u3(l, images, word):
+    acc = unitri.U3_ID
+    for g, e in word:
+        acc = unitri.u3_mul_raw(l, acc, unitri.u3_pow_raw(l, images[g], e))
+    return acc
+
+
 def _cup_lift_bruteforce(pres, diag1, diag2):
-    """Literal scan over all U3 corners per generator."""
+    """Literal scan over all U3 corners per generator, in U3 arithmetic."""
     l = pres.ell
     space = [[(a, b, c) for c in range(l)] for a, b in zip(diag1, diag2)]
     for images in itertools.product(*space):
         if all(
-            oracle._eval_word_u3(l, images, rel.lhs) == oracle._eval_word_u3(l, images, rel.rhs)
+            _eval_word_u3(l, images, rel.lhs) == _eval_word_u3(l, images, rel.rhs)
             for rel in pres.relations
         ):
             return True
