@@ -6,6 +6,15 @@ coefficients compared first), so element encodings are identical across runs.
 An element is a tuple of k residues (c0, ..., c_{k-1}) meaning
 c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort key.
 
+Polynomials over GF(p^k) are multiplied by Kronecker substitution (von zur
+Gathen and Gerhard, Modern Computer Algebra, 8.4): coefficient i, X-power j
+of a polynomial goes at bit (i*(2k-1)+j)*w of one integer, a single integer
+product gives every coefficient of the product in its slot, and X^k..X^(2k-2)
+are folded back mod the field modulus when the slots are read. A slot of w
+bits must hold its whole sum, at most (m+1)*k*(p-1)^2 for factors with m
+coefficients, fold included, so w is that bound's bit length; ``poly_powmod``
+keeps its operands packed and reduces by precomputed packed rows.
+
 Root finding in odd characteristic takes gcd(X^q - X, f) and splits it with
 Cantor-Zassenhaus equal-degree splitting; characteristic 2 keeps an exhaustive
 scan of fields with at most 10^4 elements. Every Las Vegas routine here draws
@@ -439,15 +448,73 @@ def poly_scale(F, f, c):
     return poly_trim(F, [F.rmul(a, c) for a in f])
 
 
+class _Layout:
+    """Kronecker packing of polynomials over F into integers with w-bit slots.
+
+    Coefficient i, X-power j sits at bit (i*(2k-1)+j)*w, so the integer
+    product of two packed polynomials is their packed product, X-powers up
+    to 2k-2 not yet reduced. ``unpack`` folds slot X^(k+i), reduced mod p,
+    back in as that multiple of the packed ``F._red_rows[i]`` and then
+    reduces every slot mod p.
+    """
+
+    __slots__ = ("p", "k", "w", "stride", "mask", "shifts", "rows")
+
+    def __init__(self, F: ExtField, w: int):
+        self.p, self.k, self.w = F.p, F.k, w
+        self.stride = (2 * F.k - 1) * w
+        self.mask = (1 << w) - 1
+        self.shifts = range(0, F.k * w, w)
+        self.rows = tuple(self.pack_elem(row) for row in F._red_rows)
+
+    def pack_elem(self, c) -> int:
+        w, x = self.w, 0
+        for v in reversed(c):
+            x = (x << w) | v
+        return x
+
+    def pack(self, f) -> int:
+        stride, acc = self.stride, 0
+        for c in reversed(f):
+            acc = (acc << stride) | self.pack_elem(c)
+        return acc
+
+    def unpack(self, x: int, count: int) -> list:
+        """The first ``count`` coefficients packed in x, as reduced elements."""
+        p, w, mask, shifts, rows = self.p, self.w, self.mask, self.shifts, self.rows
+        stride, kw = self.stride, self.k * w
+        cmask, kmask = (1 << stride) - 1, (1 << kw) - 1
+        out = []
+        for _ in range(count):
+            c = x & cmask
+            x >>= stride
+            lo, hi = c & kmask, c >> kw
+            for row in rows:
+                t = (hi & mask) % p
+                if t:
+                    lo += t * row
+                hi >>= w
+            out.append(tuple([((lo >> s) & mask) % p for s in shifts]))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _layout(F: ExtField, terms: int) -> _Layout:
+    """The layout whose slots hold any sum of ``terms * k`` residue products.
+
+    A product of polynomials with at most m coefficients each puts at most
+    m*k such products in a slot and the fold at most k - 1 more, so m + 1
+    terms never carry into the next slot.
+    """
+    return _Layout(F, (terms * F.k * (F.p - 1) ** 2).bit_length())
+
+
 def poly_mul(F, f, g):
+    """f * g by Kronecker substitution: one integer product of the packed operands."""
     if not f or not g:
         return []
-    out = [F.zero_raw] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a != F.zero_raw:
-            for j, b in enumerate(g):
-                out[i + j] = F.radd(out[i + j], F.rmul(a, b))
-    return poly_trim(F, out)
+    L = _layout(F, min(len(f), len(g)) + 1)
+    return poly_trim(F, L.unpack(L.pack(f) * L.pack(g), len(f) + len(g) - 1))
 
 
 def poly_divmod(F, f, g):
@@ -485,14 +552,38 @@ def poly_gcd(F, f, g):
 
 
 def poly_powmod(F, base, e: int, modulus):
-    result = [F.one_raw]
+    """base^e mod modulus (any leading coefficient), on packed integers.
+
+    With n = deg modulus, the packed rows R_i = Y^(n+i) mod modulus are
+    computed once; a product h of two reduced polynomials is then reduced as
+    its packed low half plus the sum of h_(n+i) * R_i, one unpack per step.
+    A slot of that sum holds at most (2n-1)k residue products, k - 1 more
+    after the fold.
+    """
     base = poly_rem(F, base, modulus)
+    n = len(modulus) - 1
+    L = _layout(F, 2 * n + 1)
+    top = n * L.stride
+    low = (1 << top) - 1
+
+    def reduce(x):
+        acc = x & low
+        for h, row in zip(L.unpack(x >> top, n - 1), rows):
+            acc += L.pack_elem(h) * row
+        return L.pack(L.unpack(acc, n))
+
+    neg_low = L.pack([F.rneg(c) for c in modulus[:-1]]) * L.pack_elem(F.rinv(modulus[-1]))
+    rows = [L.pack(L.unpack(neg_low, n))]
+    while len(rows) < n - 1:
+        rows.append(reduce(rows[-1] << L.stride))
+    x, acc = L.pack(base), None
     while e:
         if e & 1:
-            result = poly_rem(F, poly_mul(F, result, base), modulus)
-        base = poly_rem(F, poly_mul(F, base, base), modulus)
+            acc = x if acc is None else reduce(acc * x)
         e >>= 1
-    return result
+        if e:
+            x = reduce(x * x)
+    return [F.one_raw] if acc is None else poly_trim(F, L.unpack(acc, n))
 
 
 def poly_eval(F, f, x_raw):
@@ -538,10 +629,8 @@ def _raw_poly(f, F: ExtField) -> list:
             if c.field != F:
                 raise FieldMismatch("coefficient from a different field")
             raw.append(c.coeffs)
-        elif isinstance(c, int):
-            raw.append(F.element(c).coeffs)
         else:
-            raw.append(tuple(int(v) % F.p for v in c))
+            raw.append(F.element(c if isinstance(c, int) else tuple(int(v) for v in c)).coeffs)
     return poly_trim(F, raw)
 
 
@@ -623,36 +712,29 @@ def _equal_degree_split(F: ExtField, g, d: int, rng, out):
 def sqrt_in_field(c: FieldElement) -> FieldElement | None:
     """Canonically smaller square root of c in its field, or None.
 
-    Tonelli-Shanks over the cyclic group F*, with the quadratic non-residue
-    located by random draws; odd characteristic only.
+    Tonelli-Shanks over the cyclic group F*, with q - 1 = t * 2^s, t odd: one
+    exponentiation x = c^((t-1)/2) gives u = x^2 c = c^t and r = x c. c is a
+    square iff u^(2^(s-1)) = 1, i.e. iff the order of u is below 2^s, which
+    the first round of the loop finds. Odd characteristic only.
     """
     F = c.field
     if F.p == 2:
         raise UnsupportedField("square roots in characteristic 2 are unsupported")
     if c.is_zero():
         return F.zero
-    q = F.order
-    if F.rpow(c.coeffs, (q - 1) // 2) != F.one_raw:
-        return None
-    # write q - 1 = t * 2^s with t odd
-    t, s = q - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    rng = random.Random(DEFAULT_SEED)
-    while True:
-        z = tuple(rng.randrange(F.p) for _ in range(F.k))
-        if z != F.zero_raw and F.rpow(z, (q - 1) // 2) != F.one_raw:
-            break
-    m, cc = s, F.rpow(z, t)
-    u = F.rpow(c.coeffs, t)
-    r = F.rpow(c.coeffs, (t + 1) // 2)
+    t, s = _odd_part(F.order - 1)
+    x = F.rpow(c.coeffs, (t - 1) // 2)
+    u = F.rmul(F.rmul(x, x), c.coeffs)
+    r = F.rmul(x, c.coeffs)
+    m, cc = s, _nonresidue_power(F)
     while u != F.one_raw:
         # find least i with u^{2^i} = 1
         i, v = 0, u
         while v != F.one_raw:
             v = F.rmul(v, v)
             i += 1
+        if i == m:
+            return None  # only in the first round: u^(2^(s-1)) != 1
         b = F.rpow(cc, 1 << (m - i - 1))
         m, cc = i, F.rmul(b, b)
         u = F.rmul(u, cc)
@@ -660,6 +742,24 @@ def sqrt_in_field(c: FieldElement) -> FieldElement | None:
     root = FieldElement(F, r)
     other = -root
     return root if root.coeffs <= other.coeffs else other
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """(t, s) with n = t * 2^s and t odd (n > 0)."""
+    s = (n & -n).bit_length() - 1
+    return n >> s, s
+
+
+@lru_cache(maxsize=None)
+def _nonresidue_power(F: ExtField):
+    """z^t for the first quadratic non-residue z that F's seeded stream draws."""
+    t, _ = _odd_part(F.order - 1)
+    half = (F.order - 1) // 2
+    rng = random.Random(DEFAULT_SEED)
+    while True:
+        z = tuple(rng.randrange(F.p) for _ in range(F.k))
+        if z != F.zero_raw and F.rpow(z, half) != F.one_raw:
+            return F.rpow(z, t)
 
 
 # ---------------------------------------------------------------------------

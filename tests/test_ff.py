@@ -154,6 +154,14 @@ def test_roots_errors():
         ff.roots_in_field([1] * 202, F)
 
 
+def test_roots_reject_raw_tuples_of_the_wrong_length():
+    F = ff.make_field(5, 2)
+    for f in ([(1, 2, 3), (0, 1)], [(1,), (0, 1)]):
+        with pytest.raises(FieldMismatch, match="expected 2 coefficients"):
+            ff.roots_in_field(f, F)
+    assert ff.roots_in_field([(1, 2), (1, 0)], F) == [F.element((4, 3))]
+
+
 def test_roots_multiplicity_discarded_and_sorted():
     F = ff.make_field(7, 1)
     # (x-2)^2 (x-5) has roots {2, 5}, each reported once, ascending
@@ -265,3 +273,157 @@ def test_element_mismatch_errors():
     F1, F2 = ff.make_field(5, 1), ff.make_field(7, 1)
     with pytest.raises(FieldMismatch):
         F1.element(2) + F2.element(2)
+
+
+# ---------------------------------------------------------------------------
+# packed polynomial kernel against a schoolbook reference
+
+def ref_mul(F, f, g):
+    out = [F.zero_raw] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.radd(out[i + j], F.rmul(a, b))
+    return ff.poly_trim(F, out)
+
+
+def ref_rem(F, f, m):
+    f = ff.poly_trim(F, list(f))
+    inv = F.rinv(m[-1])
+    while len(f) >= len(m):
+        c, shift = F.rmul(f[-1], inv), len(f) - len(m)
+        for i, b in enumerate(m):
+            f[shift + i] = F.rsub(f[shift + i], F.rmul(c, b))
+        ff.poly_trim(F, f)
+    return f
+
+
+def ref_powmod(F, f, e, m):
+    result, base = [F.one_raw], ref_rem(F, f, m)
+    while e:
+        if e & 1:
+            result = ref_rem(F, ref_mul(F, result, base), m)
+        base = ref_rem(F, ref_mul(F, base, base), m)
+        e >>= 1
+    return result
+
+
+KERNEL_FIELDS = [(3, 1), (19, 1), (1009, 1), (2, 4), (5, 3), (29, 7), (7, 24)]
+
+
+def _rand_poly(F, rng, length, zero_frac=0.3):
+    return [
+        F.zero_raw if rng.random() < zero_frac else tuple(rng.randrange(F.p) for _ in range(F.k))
+        for _ in range(length)
+    ]
+
+
+def _rand_modulus(F, rng, n):
+    lead = F.zero_raw
+    while lead == F.zero_raw:
+        lead = tuple(rng.randrange(F.p) for _ in range(F.k))
+    return _rand_poly(F, rng, n) + [lead]
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_poly_mul_matches_schoolbook(p, k):
+    F = ff.make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    top = 6 if k > 7 else 12
+    for _ in range(40 if k < 7 else 8):
+        f = _rand_poly(F, rng, rng.randrange(0, top))
+        g = _rand_poly(F, rng, rng.randrange(0, top))
+        if f and rng.random() < 0.3:
+            f[-1] = F.zero_raw  # trailing zero: not trimmed on input
+        assert ff.poly_mul(F, f, g) == ref_mul(F, f, g)
+    # every residue at p - 1 puts the largest possible sum in each slot
+    full = [tuple([p - 1] * k)] * top
+    assert ff.poly_mul(F, full, full) == ref_mul(F, full, full)
+    assert ff.poly_mul(F, [], full) == []
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_poly_powmod_matches_schoolbook(p, k):
+    F = ff.make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    top = 4 if k > 7 else 7
+    for trial in range(24 if k < 7 else 6):
+        n = 1 + trial % top  # degree-1 moduli included
+        m = _rand_modulus(F, rng, n)  # leading coefficient arbitrary, not monic
+        if trial % 3 == 0:
+            m[0] = F.zero_raw  # zero constant term: Y divides the modulus
+        # a base longer than 2n - 1 must be reduced before the first square
+        base = _rand_poly(F, rng, rng.randrange(0, 2 * n + 3))
+        e = rng.choice([0, 1, 2, 3, rng.randrange(4, 200), F.order, F.order + rng.randrange(F.order)])
+        assert ff.poly_powmod(F, base, e, m) == ref_powmod(F, base, e, m), (base, e, m)
+    # every residue at p - 1, at the largest slot sums of a reduction step
+    m = [tuple([p - 1] * k)] * (top + 1)
+    x = [tuple([p - 1] * k)] * top
+    assert ff.poly_powmod(F, x, 5, m) == ref_powmod(F, x, 5, m)
+
+
+def test_poly_kernel_slot_sums_near_the_width_bound():
+    # (2 + 2X + ... + 2X^6)^2 over GF(3^7): slot X^6 holds 7 * 4 = 28 before
+    # the fold of X^7..X^12 and more after it, past 5 bits
+    F = ff.make_field(3, 7)
+    full = [(2,) * 7]
+    assert ff.poly_mul(F, full, full) == ref_mul(F, full, full)
+    # a reduction step adds the rows' products to a full low half
+    F = ff.make_field(3, 1)
+    modulus = [(2,)] * 6 + [(1,)]
+    base = [(2,)] * 6
+    assert ff.poly_powmod(F, base, 2, modulus) == ref_powmod(F, base, 2, modulus)
+
+
+def test_poly_powmod_constant_modulus():
+    F = ff.make_field(5, 2)
+    x = [F.zero_raw, F.one_raw]
+    assert ff.poly_powmod(F, x, 3, [(2, 1)]) == []
+    assert ff.poly_powmod(F, x, 0, [(2, 1)]) == [F.one_raw]
+    with pytest.raises(ZeroDivisionError):
+        ff.poly_powmod(F, x, 3, [])
+
+
+def test_poly_powmod_reversal_padding_case():
+    # a reversed-quotient reduction that forgets to pad the truncated
+    # product before reversing gets 10X^3 + 4X^2 + 13X + 1 here
+    F = ff.make_field(19, 1)
+    base = [(5,), (0,), (0,), (1,)]  # X^3 + 5
+    modulus = [(0,), (1,), (0,), (0,), (1,)]  # X^4 + X
+    assert ff.poly_powmod(F, base, 9, modulus) == [(1,)]
+    assert ref_powmod(F, base, 9, modulus) == [(1,)]
+
+
+def test_poly_kernel_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p, k = draw(st.sampled_from([(3, 1), (19, 1), (2, 4), (5, 3), (29, 7)]))
+        F = ff.make_field(p, k)
+        elem = st.tuples(*[st.integers(0, p - 1)] * k)
+        f = draw(st.lists(elem, max_size=8))
+        g = draw(st.lists(elem, max_size=8))
+        m = draw(st.lists(elem, min_size=1, max_size=6)) + [draw(elem.filter(lambda c: any(c)))]
+        return F, f, g, m, draw(st.integers(0, 3 * F.order)), draw(st.integers(0, 3 * F.order))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        F, f, g, m, a, b = case
+        assert ff.poly_mul(F, f, g) == ff.poly_mul(F, g, f)
+        product = ff.poly_mul(F, ff.poly_powmod(F, f, a, m), ff.poly_powmod(F, f, b, m))
+        assert ff.poly_powmod(F, f, a + b, m) == ff.poly_rem(F, product, m)
+
+    check()
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (7, 2)])
+def test_sqrt_in_field_against_square_table(p, k):
+    F = ff.make_field(p, k)
+    table: dict = {}
+    for r in F.elements():
+        sq = r * r
+        table[sq] = min(table.get(sq, r), r)  # the canonically smaller root
+    for c in F.elements():
+        assert ff.sqrt_in_field(c) == table.get(c)
