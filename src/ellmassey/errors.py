@@ -36,7 +36,8 @@ class FieldTooLarge(InputError):
 
 
 class UnsupportedField(InputError):
-    """Operation not supported over this field (e.g. large char-2 root search)."""
+    """Operation not supported over this field: root finding, factoring and
+    square roots in characteristic 2."""
 
 
 class SingularCurve(InputError):

@@ -3,8 +3,9 @@
 Extension fields are realized in a polynomial basis: GF(p^k) = GF(p)[X]/(m)
 with m the lexicographically smallest monic irreducible of degree k (high
 coefficients compared first), so element encodings are identical across runs.
-An element is a tuple of k residues (c0, ..., c_{k-1}) meaning
-c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort key.
+An element is a tuple of k residues (c0, ..., c_{k-1}), each in [0, p),
+meaning c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort
+key. Raw operations assume residues in [0, p); ``ExtField.element`` reduces.
 
 Polynomials over GF(p^k) are multiplied by Kronecker substitution (von zur
 Gathen and Gerhard, Modern Computer Algebra, 8.4): coefficient i, X-power j
@@ -13,14 +14,15 @@ product gives every coefficient of the product in its slot, and X^k..X^(2k-2)
 are folded back mod the field modulus when the slots are read. A slot of w
 bits must hold its whole sum, at most (m+1)*k*(p-1)^2 for factors with m
 coefficients, fold included, so w is that bound's bit length; ``poly_powmod``
-keeps its operands packed and reduces by precomputed packed rows.
+keeps its operands packed and reduces by precomputed packed rows. Element
+products in GF(p^k), k > 1, share the layout as one-coefficient polynomials.
 
-Root finding in odd characteristic takes gcd(X^q - X, f) and splits it with
-Cantor-Zassenhaus equal-degree splitting; characteristic 2 keeps an exhaustive
-scan of fields with at most 10^4 elements. Every Las Vegas routine here draws
-from its own ``random.Random(DEFAULT_SEED)`` stream, and every result is
-canonical (roots and factors sorted, the smaller square root), so the stream
-only decides how long a call takes, never what it returns.
+Root finding takes gcd(X^q - X, f) and splits it with Cantor-Zassenhaus
+equal-degree splitting; like factoring and square roots it needs odd
+characteristic. Every Las Vegas routine here draws from its own
+``random.Random(DEFAULT_SEED)`` stream, and every result is canonical (roots
+and factors sorted, the smaller square root), so the stream only decides how
+long a call takes, never what it returns.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import (
 DEFAULT_SEED = 0xC0FFEE
 
 MAX_EXT_DEGREE = 96
-EXHAUSTIVE_ROOT_BOUND = 10**4
 MAX_ROOT_DEGREE = 200
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,18 +92,32 @@ def _ip_mul(f, g, p):
     return _ip_trim(out)
 
 
-def _ip_rem(f, g, p):
-    """Remainder of f by g (g nonzero, any leading coefficient)."""
-    f = list(f)
-    dg = len(g) - 1
+def _ip_sub(f, g, p):
+    return _ip_trim([(a - b) % p for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+
+
+def _ip_divmod(f, g, p):
+    """(q, r) with f = q*g + r and deg r < deg g (g nonzero, any leading coefficient)."""
+    r, low = list(f), g[:-1]
     inv_lc = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lc % p
-        shift = len(f) - 1 - dg
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-        _ip_trim(f)
-    return f
+    q = [0] * max(0, len(r) - len(low))
+    while len(r) > len(low):
+        c = r.pop() * inv_lc % p  # the top term cancels exactly
+        shift = len(r) - len(low)
+        q[shift] = c
+        for i, b in enumerate(low, shift):
+            r[i] = (r[i] - c * b) % p
+        _ip_trim(r)
+    return _ip_trim(q), r
+
+
+def _ip_rem(f, g, p):
+    return _ip_divmod(f, g, p)[1]
+
+
+def _ip_elem(f, k):
+    """The k-tuple of a polynomial of degree below k."""
+    return tuple(f) + (0,) * (k - len(f))
 
 
 def _ip_gcd(f, g, p):
@@ -132,12 +147,10 @@ def _ip_is_irreducible(f, p):
     k = len(f) - 1
     if k < 1:
         return False
-    xq = _ip_powmod_x(p**k, f, p)
-    if _ip_trim([(a - b) % p for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]):
+    if _ip_sub(_ip_powmod_x(p**k, f, p), [0, 1], p):
         return False
     for t in _prime_divisors(k):
-        xe = _ip_powmod_x(p ** (k // t), f, p)
-        diff = _ip_trim([(a - b) % p for a, b in itertools.zip_longest(xe, [0, 1], fillvalue=0)])
+        diff = _ip_sub(_ip_powmod_x(p ** (k // t), f, p), [0, 1], p)
         if len(_ip_gcd(diff, f, p)) != 1:
             return False
     return True
@@ -167,7 +180,7 @@ class ExtField:
     immutable and safe to share.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "zero_raw", "one_raw", "_red_rows")
+    __slots__ = ("p", "k", "modulus", "order", "zero_raw", "one_raw", "_red_rows", "_kron")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -176,22 +189,13 @@ class ExtField:
         self.order = p**k
         self.zero_raw = (0,) * k
         self.one_raw = (1,) + (0,) * (k - 1) if k > 1 else (1 % p,)
-        # x^{k+i} mod modulus for i = 0..k-2, used to fold product tails back
-        rows = []
-        if k > 1:
-            cur = [(-modulus[j]) % p for j in range(k)]
-            rows.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [0] + cur[: k - 1]
-                c = cur[k - 1]
-                if c:
-                    for j in range(k):
-                        nxt[j] = (nxt[j] - c * modulus[j]) % p
-                else:
-                    nxt = [v % p for v in nxt]
-                cur = nxt
-                rows.append(tuple(cur))
-        self._red_rows = tuple(rows)
+        # X^(k+i) mod modulus for i = 0..k-2, which fold product tails back
+        self._red_rows = tuple(
+            _ip_elem(_ip_rem([0] * (k + i) + [1], modulus, p), k) for i in range(k - 1)
+        )
+        # the element-product layout, held here: a cache lookup per rmul
+        # would cost about as much as the product itself
+        self._kron = _layout(self, 2)
 
     # -- raw tuple arithmetic -------------------------------------------------
 
@@ -208,23 +212,10 @@ class ExtField:
         return tuple((-x) % p for x in a)
 
     def rmul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        out = [c % p for c in prod[:k]]
-        rows = self._red_rows
-        for i in range(k - 1):
-            c = prod[k + i] % p
-            if c:
-                row = rows[i]
-                for j in range(k):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+        if self.k == 1:
+            return ((a[0] * b[0]) % self.p,)
+        L = self._kron
+        return L.unpack(L.pack_elem(a) * L.pack_elem(b), 1)[0]
 
     def rinv(self, a):
         p, k = self.p, self.k
@@ -238,26 +229,13 @@ class ExtField:
             raise ZeroDivisionError("inverse of zero field element")
         t0, t1 = [], [1]
         while len(r1) > 1:
-            inv_lc = pow(r1[-1], p - 2, p)
-            q = []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv_lc % p
-                shift = len(r) - len(r1)
-                q_ = [0] * (shift) + [c]
-                q = _ip_trim([(x + y) % p for x, y in itertools.zip_longest(q, q_, fillvalue=0)])
-                for i, b in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - c * b) % p
-                _ip_trim(r)
+            q, r = _ip_divmod(r0, r1, p)
             r0, r1 = r1, r
-            qt1 = _ip_mul(q, t1, p)
-            t0, t1 = t1, _ip_trim([(x - y) % p for x, y in itertools.zip_longest(t0, qt1, fillvalue=0)])
+            t0, t1 = t1, _ip_sub(t0, _ip_mul(q, t1, p), p)
         if not r1:
             raise ZeroDivisionError("element not invertible")
         c = pow(r1[0], p - 2, p)
-        t1 = [x * c % p for x in t1]
-        t1 += [0] * (k - len(t1))
-        return tuple(t1[:k])
+        return _ip_elem([x * c % p for x in t1], k)
 
     def rpow(self, a, e: int):
         if e < 0:
@@ -586,20 +564,9 @@ def poly_powmod(F, base, e: int, modulus):
     return [F.one_raw] if acc is None else poly_trim(F, L.unpack(acc, n))
 
 
-def poly_eval(F, f, x_raw):
-    acc = F.zero_raw
-    for c in reversed(f):
-        acc = F.radd(F.rmul(acc, x_raw), c)
-    return acc
-
-
 def poly_deriv(F, f):
     p = F.p
-    out = []
-    for i in range(1, len(f)):
-        n = i % p
-        out.append(F.rmul(f[i], tuple((n * c) % p for c in F.one_raw)))
-    return poly_trim(F, out)
+    return poly_trim(F, [tuple(i * c % p for c in f[i]) for i in range(1, len(f))])
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +576,11 @@ def roots_in_field(f, F: ExtField) -> list[FieldElement]:
     """All roots of f lying in F, multiplicity one each, canonically sorted.
 
     ``f`` is a polynomial with integer or F-element coefficients, ascending
-    degree. In odd characteristic the roots are the linear factors of
-    gcd(X^|F| - X, f), split apart by equal-degree splitting; in
-    characteristic 2, fields of at most 10^4 elements are scanned exhaustively.
+    degree. The roots are the linear factors of gcd(X^|F| - X, f), split
+    apart by equal-degree splitting. Characteristic 2 raises UnsupportedField.
     """
+    if F.p == 2:
+        raise UnsupportedField("root finding in characteristic 2 is unsupported")
     raw = _raw_poly(f, F)
     if not raw:
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
@@ -637,14 +605,6 @@ def _raw_poly(f, F: ExtField) -> list:
 def _raw_roots(F: ExtField, raw) -> list:
     if len(raw) == 1:
         return []
-    if F.p == 2:
-        if F.order > EXHAUSTIVE_ROOT_BOUND:
-            raise UnsupportedField("large char-2 root search is unsupported")
-        return [
-            coeffs
-            for coeffs in itertools.product(range(2), repeat=F.k)
-            if poly_eval(F, raw, coeffs) == F.zero_raw
-        ]
     x = [F.zero_raw, F.one_raw]
     g = poly_gcd(F, poly_sub(F, poly_powmod(F, x, F.order, raw), x), raw)
     if len(g) == 1:

@@ -23,13 +23,11 @@ superdiagonal residuals vanish and the system is solvable:
 
 A witness is the reduced row-echelon solution with every free unknown set
 to 0, so witnesses are reproducible; each is re-verified against every
-relation before it is returned. A literal brute force over all (u, v, w)
-stays alongside for cross-validation.
+relation before it is returned. The literal brute forces that cross-check
+these solves live with the tests.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import UnsoundLift
 from .galois import Character, GbarGroup, Presentation, check_group
@@ -168,22 +166,6 @@ def lift_is_sound(pres: Presentation, superdiags, witness) -> bool:
         if img[:3] != tuple(v % l for v in pinned):
             return False
     return all(_residual_u4(l, images, rel) == U4_ID for rel in pres.relations)
-
-
-def find_full_lift_bruteforce(pres: Presentation, superdiags):
-    """Literal scan over all (u, v, w) per generator; for cross-validation."""
-    l = pres.ell
-    n = len(pres.gen_names)
-    rels = pres.relations
-    space = [
-        [(s[0], s[1], s[2], u, v, w) for u in range(l) for v in range(l) for w in range(l)]
-        for s in superdiags
-    ]
-    for combo in itertools.product(*space):
-        images = list(combo)
-        if all(_residual_u4(l, images, rel) == U4_ID for rel in rels):
-            return {pres.gen_names[i]: images[i] for i in range(n)}
-    return None
 
 
 # ---------------------------------------------------------------------------

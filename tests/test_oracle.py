@@ -12,7 +12,6 @@ from ellmassey.oracle import (
     center_lift_exists,
     cup_lift_exists,
     find_full_lift,
-    find_full_lift_bruteforce,
     lift_is_sound,
     oracle_contains_zero,
     oracle_cup,
@@ -132,10 +131,23 @@ def test_structured_search_matches_bruteforce_l3():
             c1, c2, c3 = (rng.choice(chars) for _ in range(3))
             diags = _superdiags(g, c1, c2, c3)
             fast = find_full_lift(pres, diags)
-            slow = find_full_lift_bruteforce(pres, diags)
+            slow = _full_lift_bruteforce(pres, diags)
             assert (fast is None) == (slow is None)
             if slow is not None:
                 assert lift_is_sound(pres, diags, slow)
+
+
+def _full_lift_bruteforce(pres, diags):
+    """Literal scan over all (u, v, w) per generator: a full U4 lift, or None."""
+    l = pres.ell
+    space = [
+        [(s[0], s[1], s[2], u, v, w) for u in range(l) for v in range(l) for w in range(l)]
+        for s in diags
+    ]
+    for images in itertools.product(*space):
+        if all(oracle._residual_u4(l, images, rel) == unitri.U4_ID for rel in pres.relations):
+            return dict(zip(pres.gen_names, images))
+    return None
 
 
 def _center_lift_bruteforce(pres, diags):
