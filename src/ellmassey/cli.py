@@ -168,11 +168,19 @@ def _build_curve(args) -> ec.Curve:
     return ec.curve_new(base, base.element(_parse_coeffs(args.a)), base.element(_parse_coeffs(args.b)))
 
 
+def _no_extra_tokens(spec_parts, allowed, flag):
+    """InputError naming the first token past the ``allowed`` ones."""
+    if len(spec_parts) > allowed:
+        raise InputError(f"{flag} {spec_parts[0]}: unexpected extra token {spec_parts[allowed]!r}")
+
+
 def _select_triples(chars, spec_parts, seed):
     mode = spec_parts[0]
     if mode == "all":
+        _no_extra_tokens(spec_parts, 1, "--triples")
         return list(itertools.product(chars, repeat=3)), "all"
     if mode == "same-char":
+        _no_extra_tokens(spec_parts, 1, "--triples")
         return [(chi, chi, chi) for chi in chars], "same-char"
     if mode == "sample":
         return _sample_triples(chars, spec_parts, seed, "--triples")
@@ -181,6 +189,7 @@ def _select_triples(chars, spec_parts, seed):
 
 def _sample_triples(chars, spec_parts, seed, flag):
     """``sample [N]``: N seeded uniform triples (default 200), and the mode label."""
+    _no_extra_tokens(spec_parts, 2, flag)
     text = spec_parts[1] if len(spec_parts) > 1 else "200"
     bad = InputError(f"{flag} sample count must be a non-negative integer, got {text!r}")
     try:
@@ -285,6 +294,7 @@ def cmd_verify(args) -> int:
     chars = group.characters()
     mode_parts = args.mode
     if mode_parts[0] == "exhaustive":
+        _no_extra_tokens(mode_parts, 1, "--mode")
         if len(chars) ** 3 > EXHAUSTIVE_TRIPLE_CAP:
             raise InputError(
                 f"exhaustive verification is capped at {EXHAUSTIVE_TRIPLE_CAP} triples; "

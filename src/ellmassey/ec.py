@@ -169,15 +169,19 @@ class CurvePoint:
 
 
 class TorsionBasis:
-    """Ordered basis (P, Q) of E[n] over the degree-k extension of the base."""
+    """Ordered basis (P, Q) of E[n] over the degree-k extension of the base.
 
-    __slots__ = ("n", "P", "Q", "k")
+    ``table`` maps the key of each iP + jQ (0 <= i, j < n) to (i, j).
+    """
 
-    def __init__(self, n: int, P: CurvePoint, Q: CurvePoint, k: int):
+    __slots__ = ("n", "P", "Q", "k", "table")
+
+    def __init__(self, n: int, P: CurvePoint, Q: CurvePoint, k: int, table: dict):
         self.n = n
         self.P = P
         self.Q = Q
         self.k = k
+        self.table = table
 
 
 class TorsionAction:
@@ -188,7 +192,7 @@ class TorsionAction:
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(tuple(v % n for v in row) for row in entries)
-        if _det2(self.entries, n) == 0 or gcd(_det2(self.entries, n), n) != 1:
+        if gcd(self.det(), n) != 1:
             raise NotInSpan("torsion action matrix is not invertible")
 
     def det(self) -> int:
@@ -264,21 +268,10 @@ def scalar_mul(m: int, P: CurvePoint) -> CurvePoint:
     while m:
         if m & 1:
             acc = point_add(acc, addend)
-        addend = point_add(addend, addend)
         m >>= 1
+        if m:
+            addend = point_add(addend, addend)
     return acc
-
-
-def point_order_dividing(P: CurvePoint, n: int) -> int:
-    """Exact order of P given that it divides n."""
-    for d in sorted(_divisors(n)):
-        if scalar_mul(d, P).is_infinity:
-            return d
-    raise NotTorsion(f"point order does not divide {n}")
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +388,11 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
 
     The torsion field degree comes from the factor degrees of psi_n over the
     base (all x-coordinates rational over the lcm; one quadratic doubling if
-    some y-coordinate needs it). All n^2 - 1 nonzero points are materialized;
-    P is the canonically first point of exact order n, Q the first point of
-    exact order n generating all n^2 combinations together with P.
+    some y-coordinate needs it). All n^2 - 1 nonzero points are materialized
+    and sorted. As E[n] = (Z/n)^2 for n a power of the prime l, T has order n
+    iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off the line
+    <(n/l)P>. So P is the first point with (n/l)P != O and Q the first point
+    off that line. The basis carries its coordinate table {iP + jQ: (i, j)}.
     """
     if n not in TORSION_LEVELS:
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
@@ -413,17 +408,16 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     if len(points) != n * n - 1:
         raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
     points.sort(key=lambda T: T.key())
-    P = next(T for T in points if point_order_dividing(T, n) == n)
-    Q = None
-    for cand in points:
-        if cand == P or point_order_dividing(cand, n) != n:
-            continue
-        if len(span_table(P, cand, n)) == n * n:
-            Q = cand
-            break
-    if Q is None:
-        raise NotInSpan("no independent torsion generator found")  # impossible for valid input
-    return TorsionBasis(n, P, Q, k)
+    ell = 3 if n == 9 else n  # every level is a prime or 9
+    h = n // ell
+    P = next(T for T in points if not scalar_mul(h, T).is_infinity)
+    hP = scalar_mul(h, P)
+    line = {scalar_mul(i, hP).key() for i in range(ell)}
+    Q = next(T for T in points if scalar_mul(h, T).key() not in line)
+    table = _span_table(P, Q, n)
+    if len(table) != n * n:
+        raise InternalError(f"basis spans {len(table)} points of E[{n}], expected {n * n}")
+    return TorsionBasis(n, P, Q, k, table)
 
 
 def _torsion_field_degree(curve: Curve, n: int):
@@ -464,11 +458,8 @@ def _all_torsion_points(ctx: CurveExt, factors, emb) -> list[CurvePoint]:
     return out
 
 
-def span_table(P: CurvePoint, Q: CurvePoint, n: int) -> dict:
-    """{point key: (i, j)} for the combinations iP + jQ with 0 <= i, j < n.
-
-    P and Q span E[n] iff the table has n^2 keys.
-    """
+def _span_table(P: CurvePoint, Q: CurvePoint, n: int) -> dict:
+    """{point key: (i, j)} for the combinations iP + jQ with 0 <= i, j < n."""
     table = {}
     row = P.ctx.infinity()
     for i in range(n):
@@ -498,15 +489,14 @@ def frobenius_endo(P: CurvePoint, q: int) -> CurvePoint:
 def frobenius_matrix(basis: TorsionBasis) -> TorsionAction:
     """Matrix of the q-power Frobenius on (P, Q), columns = images.
 
-    Solves Phi(P) = aP + bQ and Phi(Q) = cP + dQ by exhaustive lookup over
-    the <= n^2 torsion combinations and returns ((a, c), (b, d)).
+    Solves Phi(P) = aP + bQ and Phi(Q) = cP + dQ by lookup in the basis's
+    coordinate table and returns ((a, c), (b, d)).
     """
     n = basis.n
     q = basis.P.ctx.curve.base.order
-    table = span_table(basis.P, basis.Q, n)
     try:
-        col_p = table[frobenius_endo(basis.P, q).key()]
-        col_q = table[frobenius_endo(basis.Q, q).key()]
+        col_p = basis.table[frobenius_endo(basis.P, q).key()]
+        col_q = basis.table[frobenius_endo(basis.Q, q).key()]
     except KeyError as exc:  # pragma: no cover - signals an internal inconsistency
         raise NotInSpan("Frobenius image outside the torsion span") from exc
     action = TorsionAction(n, [[col_p[0], col_q[0]], [col_p[1], col_q[1]]])

@@ -53,7 +53,7 @@ class GaloisCase(Enum):
 # ---------------------------------------------------------------------------
 # 2x2 matrices over Z/n as ((a, b), (c, d)) row-major tuples
 
-def mat_id(n=None):
+def mat_id():
     return ((1, 0), (0, 1))
 
 
@@ -127,11 +127,10 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators with orders and defining relations, oracle-ready."""
+    """Generators and defining relations, oracle-ready."""
 
     ell: int
     gen_names: tuple[str, ...]
-    orders: tuple[int, ...]
     relations: tuple[Relation, ...]
 
 
@@ -205,7 +204,6 @@ class GbarGroup:
             self._presentation = Presentation(
                 ell=self.ell,
                 gen_names=self.gen_names,
-                orders=self.torsion_orders + (self.ell_prime,),
                 relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, True),
             )
         return self._presentation
@@ -217,7 +215,6 @@ class GbarGroup:
             self._torsion_presentation = Presentation(
                 ell=self.ell,
                 gen_names=self.gen_names[:rank],
-                orders=self.torsion_orders,
                 relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, False),
             )
         return self._torsion_presentation
@@ -412,11 +409,11 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     if case is GaloisCase.FULL_TORSION:
         if any((A[i][j] - (1 if i == j else 0)) % ell for i in range(2) for j in range(2)):
             raise CaseMismatch("full torsion case but phi is not trivial mod l")
-        ctx = {"q": q, "basis": basis, "action": action, "normalized_action": action}
+        ctx = {"q": q, "action": action, "normalized_action": action}
         return GbarGroup(ell, case, (lp, lp), A, constants=None, context=ctx)
 
     if case is GaloisCase.UNIPOTENT_LINE:
-        m_vec = _first_moved_vector(basis, A, ell, lp)
+        m_vec = _first_moved_vector(basis, A, ell)
         mp_vec = mat_apply(mat_sub(A, mat_id(), lp), m_vec, lp)
         T = ((mp_vec[0], m_vec[0]), (mp_vec[1], m_vec[1]))
         An = mat_mul(mat_inv(T, lp), mat_mul(A, T, lp), lp)
@@ -428,13 +425,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
             raise CaseMismatch("unipotent action entries not congruent to identity mod l")
         constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0,
                      "c": gamma if ell == 3 else 0}
-        ctx = {
-            "q": q,
-            "basis": basis,
-            "action": action,
-            "normalized_action": ec.TorsionAction(lp, An),
-            "gen_vectors": {"mprime": mp_vec, "m": m_vec},
-        }
+        ctx = {"q": q, "action": action, "normalized_action": ec.TorsionAction(lp, An)}
         return GbarGroup(ell, case, (lp, lp), An, constants=constants, context=ctx)
 
     # split line
@@ -464,24 +455,14 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
         alpha = 0
         constants = {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
         scalar = 1
-    ctx = {
-        "q": q,
-        "basis": basis,
-        "action": action,
-        "normalized_action": ec.TorsionAction(lp, An),
-        "gen_vectors": {"m": v1},
-    }
+    ctx = {"q": q, "action": action, "normalized_action": ec.TorsionAction(lp, An)}
     return GbarGroup(ell, case, (lp,), ((scalar,),), constants=constants, context=ctx)
 
 
-def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int, lp: int):
-    """First point of exact order l' (in canonical point order) not fixed mod l."""
-    table = ec.span_table(basis.P, basis.Q, lp)
+def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int):
+    """First point (in canonical point order) not fixed mod l; it has exact order l'."""
     Abar = tuple(tuple(v % ell for v in r) for r in A)
-    for _, vec in sorted(table.items()):
-        order_ok = any(v % ell for v in vec) if lp == ell else any(v % 3 for v in vec)
-        if not order_ok:
-            continue
+    for _, vec in sorted(basis.table.items()):
         vbar = (vec[0] % ell, vec[1] % ell)
         if mat_apply(Abar, vbar, ell) != vbar:
             return vec

@@ -293,6 +293,24 @@ def test_analyze_bad_sample_count_exit_2(capsys, count):
     assert "sample count" in data["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command,spec,extra",
+    [
+        ("analyze", ("--triples", "sample", "5", "9"), "9"),
+        ("analyze", ("--triples", "all", "x"), "x"),
+        ("analyze", ("--triples", "same-char", "4"), "4"),
+        ("verify", ("--mode", "exhaustive", "7"), "7"),
+        ("verify", ("--mode", "sample", "5", "2"), "2"),
+    ],
+)
+def test_trailing_mode_token_exit_2(capsys, command, spec, extra):
+    code, data = run_json(
+        capsys, command, "--p", "5", "--a", "1", "--b", "0", "--ell", "3", *spec
+    )
+    assert code == 2
+    assert repr(extra) in data["error"]["message"]
+
+
 def test_sample_count_shared_by_verify_and_analyze(capsys):
     # both commands draw the same seeded triples from one helper
     code, verify = run_json(

@@ -197,8 +197,10 @@ def test_torsion_basis_invariants(p, a, b, n):
     base = ff.make_field(p, 1)
     c = ec.curve_new(base, a, b)
     basis = ec.torsion_basis(c, n)
-    assert ec.point_order_dividing(basis.P, n) == n
-    assert ec.point_order_dividing(basis.Q, n) == n
+    h = 3 if n == 9 else 1  # n / l
+    for T in (basis.P, basis.Q):
+        assert not ec.scalar_mul(h, T).is_infinity
+        assert ec.scalar_mul(n, T).is_infinity
     # the n^2 combinations are pairwise distinct
     seen = set()
     for i in range(n):
@@ -210,6 +212,68 @@ def test_torsion_basis_invariants(p, a, b, n):
     assert zeta**n == basis.P.ctx.field.one
     for r in {3, 5, 7} & {d for d in range(2, n + 1) if n % d == 0}:
         assert zeta ** (n // r) != basis.P.ctx.field.one
+
+
+def _literal_basis(curve, n, field):
+    """(P, Q) by search: all points of E[n] - {O} sorted, P the first of order
+    n by repeated addition, Q the first whose span with P has n^2 points."""
+    emb = ff.embed_field(curve.base, field) if field != curve.base else None
+    coeffs = [emb(v) if emb else v for v in ec.division_polynomial(curve, n)]
+    ctx = curve.over(field)
+    points = []
+    for x0 in ff.roots_in_field(coeffs, field):
+        y = ff.sqrt_in_field(ctx.rhs(x0))
+        points += [ctx.point(x0, y), ctx.point(x0, -y)]
+    points.sort(key=lambda T: T.key())
+    assert len(points) == n * n - 1
+
+    def order(T):
+        m, acc = 1, T
+        while not acc.is_infinity:
+            m, acc = m + 1, acc + T
+        return m
+
+    def span(P, Q):
+        keys, row = set(), ctx.infinity()
+        for _ in range(n):
+            cur = row
+            for _ in range(n):
+                keys.add(cur.key())
+                cur = cur + Q
+            row = row + P
+        return keys
+
+    P = next(T for T in points if order(T) == n)
+    Q = next(T for T in points if len(span(P, T)) == n * n)
+    return P, Q
+
+
+BASIS_CURVES = [
+    (7, 1, 0, 2, 3),
+    (7, 1, 0, 2, 9),
+    (5, 1, 1, 1, 3),
+    (11, 1, 3, 4, 5),
+    (13, 1, 1, 6, 7),
+    (13, 1, 0, 3, 9),
+    (5, 2, (0, 1), 2, 3),
+]
+
+
+@pytest.mark.parametrize("p,k0,a,b,n", BASIS_CURVES)
+def test_torsion_basis_is_the_canonical_search_basis(p, k0, a, b, n):
+    c = ec.curve_new(ff.make_field(p, k0), a, b)
+    basis = ec.torsion_basis(c, n)
+    assert (basis.P, basis.Q) == _literal_basis(c, n, basis.P.ctx.field)
+
+
+@pytest.mark.parametrize("p,k0,a,b,n", BASIS_CURVES)
+def test_torsion_basis_table_gives_coordinates(p, k0, a, b, n):
+    basis = ec.torsion_basis(ec.curve_new(ff.make_field(p, k0), a, b), n)
+    assert len(basis.table) == n * n
+    for i in range(n):
+        for j in range(n):
+            T = ec.scalar_mul(i, basis.P) + ec.scalar_mul(j, basis.Q)
+            assert basis.table[T.key()] == (i, j)
 
 
 def test_torsion_basis_deterministic():

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ellmassey
@@ -14,3 +15,19 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_traced_benchmark_names_resolve():
+    """Every function the traced benchmark wraps exists, so a rename fails here."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for mod_name, qualname in spans.SPANS + spans.COUNTERS + spans.CACHES:
+        owner = importlib.import_module(f"ellmassey.{mod_name}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{qualname}")
+    assert missing == []
