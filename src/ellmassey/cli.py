@@ -174,21 +174,18 @@ def _no_extra_tokens(spec_parts, allowed, flag):
         raise InputError(f"{flag} {spec_parts[0]}: unexpected extra token {spec_parts[allowed]!r}")
 
 
-def _select_triples(chars, spec_parts, seed):
+def _parse_mode(spec_parts, flag, words, usage):
+    """(mode, sample count or None) of a ``--triples``/``--mode`` value.
+
+    Checked before the curve's group is built, so a malformed value costs
+    nothing. ``sample [N]`` defaults to N = 200.
+    """
     mode = spec_parts[0]
-    if mode == "all":
-        _no_extra_tokens(spec_parts, 1, "--triples")
-        return list(itertools.product(chars, repeat=3)), "all"
-    if mode == "same-char":
-        _no_extra_tokens(spec_parts, 1, "--triples")
-        return [(chi, chi, chi) for chi in chars], "same-char"
-    if mode == "sample":
-        return _sample_triples(chars, spec_parts, seed, "--triples")
-    raise InputError("--triples must be all, same-char, or sample [N]")
-
-
-def _sample_triples(chars, spec_parts, seed, flag):
-    """``sample [N]``: N seeded uniform triples (default 200), and the mode label."""
+    if mode not in words:
+        raise InputError(usage)
+    if mode != "sample":
+        _no_extra_tokens(spec_parts, 1, flag)
+        return mode, None
     _no_extra_tokens(spec_parts, 2, flag)
     text = spec_parts[1] if len(spec_parts) > 1 else "200"
     bad = InputError(f"{flag} sample count must be a non-negative integer, got {text!r}")
@@ -198,9 +195,17 @@ def _sample_triples(chars, spec_parts, seed, flag):
         raise bad from exc
     if count < 0:
         raise bad
-    rng = random.Random(seed)
-    triples = [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)]
-    return triples, f"sample {count}"
+    return mode, count
+
+
+def _select_triples(chars, mode, count, seed):
+    """The triples of a parsed mode, and the mode label for meta.mode."""
+    if mode == "same-char":
+        return [(chi, chi, chi) for chi in chars], mode
+    if mode == "sample":
+        rng = random.Random(seed)
+        return [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)], f"sample {count}"
+    return list(itertools.product(chars, repeat=3)), mode  # all / exhaustive
 
 
 def _report_matrices(curve, group):
@@ -233,10 +238,14 @@ def _constants_json(group):
 
 def cmd_analyze(args) -> int:
     t0 = time.monotonic()
+    mode, count = _parse_mode(
+        args.triples, "--triples", ("all", "same-char", "sample"),
+        "--triples must be all, same-char, or sample [N]",
+    )
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    triples, mode = _select_triples(chars, args.triples, args.seed)
+    triples, mode = _select_triples(chars, mode, count, args.seed)
     verdicts = []
     for c1, c2, c3 in triples:
         v = massey.triple_verdict(c1, c2, c3, group)
@@ -289,23 +298,19 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    mode, count = _parse_mode(
+        args.mode, "--mode", ("exhaustive", "sample"), "--mode must be exhaustive or sample [N]"
+    )
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    mode_parts = args.mode
-    if mode_parts[0] == "exhaustive":
-        _no_extra_tokens(mode_parts, 1, "--mode")
-        if len(chars) ** 3 > EXHAUSTIVE_TRIPLE_CAP:
-            raise InputError(
-                f"exhaustive verification is capped at {EXHAUSTIVE_TRIPLE_CAP} triples; "
-                f"this curve has {len(chars)} characters, {len(chars) ** 3} triples "
-                "(use --mode sample N)"
-            )
-        triples, mode = list(itertools.product(chars, repeat=3)), "exhaustive"
-    elif mode_parts[0] == "sample":
-        triples, mode = _sample_triples(chars, mode_parts, args.seed, "--mode")
-    else:
-        raise InputError("--mode must be exhaustive or sample [N]")
+    if mode == "exhaustive" and len(chars) ** 3 > EXHAUSTIVE_TRIPLE_CAP:
+        raise InputError(
+            f"exhaustive verification is capped at {EXHAUSTIVE_TRIPLE_CAP} triples; "
+            f"this curve has {len(chars)} characters, {len(chars) ** 3} triples "
+            "(use --mode sample N)"
+        )
+    triples, mode = _select_triples(chars, mode, count, args.seed)
     mismatches = []
     for c1, c2, c3 in triples:
         v = massey.triple_verdict(c1, c2, c3, group)

@@ -6,6 +6,9 @@ coefficients compared first), so element encodings are identical across runs.
 An element is a tuple of k residues (c0, ..., c_{k-1}), each in [0, p),
 meaning c0 + c1*X + ... + c_{k-1}*X^{k-1}; tuples are also the canonical sort
 key. Raw operations assume residues in [0, p); ``ExtField.element`` reduces.
+The scan for m decides the binomials X^k + c by the binomial theorem, one
+modular power per prime divisor of k, and every later candidate by Ben-Or's
+test, which stops at the first Frobenius step that finds a factor.
 
 Polynomials over GF(p^k) are multiplied by Kronecker substitution (von zur
 Gathen and Gerhard, Modern Computer Algebra, 8.4): coefficient i, X-power j
@@ -130,30 +133,38 @@ def _ip_gcd(f, g, p):
     return f
 
 
-def _ip_powmod_x(e: int, modulus, p):
-    """X^e mod modulus via square-and-multiply."""
-    result = [1]
-    base = _ip_rem([0, 1], modulus, p)
+def _ip_powmod(base, e: int, modulus, p):
+    """base^e mod modulus via square-and-multiply."""
+    result, base = [1], _ip_rem(base, modulus, p)
     while e:
         if e & 1:
             result = _ip_rem(_ip_mul(result, base, p), modulus, p)
-        base = _ip_rem(_ip_mul(base, base, p), modulus, p)
         e >>= 1
+        if e:
+            base = _ip_rem(_ip_mul(base, base, p), modulus, p)
     return result
 
 
-def _ip_is_irreducible(f, p):
-    """Deterministic test: X^{p^k} = X mod f and gcd(X^{p^{k/t}} - X, f) = 1."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    if _ip_sub(_ip_powmod_x(p**k, f, p), [0, 1], p):
-        return False
-    for t in _prime_divisors(k):
-        diff = _ip_sub(_ip_powmod_x(p ** (k // t), f, p), [0, 1], p)
-        if len(_ip_gcd(diff, f, p)) != 1:
+def _ip_ben_or(f, p):
+    """Ben-Or: f of degree k is irreducible iff gcd(X^(p^i) - X, f) = 1 for i <= k/2."""
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = _ip_powmod(h, p, f, p)
+        if len(_ip_gcd(_ip_sub(h, [0, 1], p), f, p)) != 1:
             return False
     return True
+
+
+def _binomial_irreducible(c: int, k: int, p: int) -> bool:
+    """Whether X^k + c (k >= 2) is irreducible over GF(p), by Lidl and
+    Niederreiter, Finite Fields, Thm 3.75: X^k - a is irreducible iff each
+    prime r | k divides ord(a) but not (p-1)/ord(a), i.e. r | p - 1 and
+    a^((p-1)/r) != 1, and p = 1 (mod 4) if 4 | k.
+    """
+    a = -c % p
+    if a == 0 or (k % 4 == 0 and p % 4 != 1):
+        return False
+    return all((p - 1) % r == 0 and pow(a, (p - 1) // r, p) != 1 for r in _prime_divisors(k))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -380,6 +391,8 @@ def make_field(p: int, k: int) -> ExtField:
     Candidates X^k + c_{k-1} X^{k-1} + ... + c_0 are scanned in increasing
     order of the integer sum(c_i p^i), i.e. high coefficients compared first;
     the first irreducible wins, so the modulus is stable across runs.
+    The binomials X^k + c come first and are decided by the binomial theorem,
+    the rest by Ben-Or's test; both are exact, so the same candidate wins.
     For k = 1 the modulus is X itself.
     """
     if not is_prime(p):
@@ -390,13 +403,12 @@ def make_field(p: int, k: int) -> ExtField:
         raise DegreeTooLarge("fields larger than 2^380 elements are unsupported")
     if k == 1:
         return ExtField(p, 1, (0, 1))
-    for m in range(p**k):
-        coeffs, v = [], m
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        candidate = coeffs + [1]
-        if _ip_is_irreducible(candidate, p):
+    for c in range(p):
+        if _binomial_irreducible(c, k, p):
+            return ExtField(p, k, (c,) + (0,) * (k - 1) + (1,))
+    for m in range(p, p**k):
+        candidate = [m // p**i % p for i in range(k)] + [1]
+        if _ip_ben_or(candidate, p):
             return ExtField(p, k, tuple(candidate))
     raise InternalError(f"no irreducible polynomial of degree {k} over GF({p})")  # unreachable
 
@@ -538,7 +550,7 @@ def poly_powmod(F, base, e: int, modulus):
     A slot of that sum holds at most (2n-1)k residue products, k - 1 more
     after the fold.
     """
-    base = poly_rem(F, base, modulus)
+    base = poly_rem(F, base, modulus) if len(base) >= len(modulus) else poly_trim(F, list(base))
     n = len(modulus) - 1
     L = _layout(F, 2 * n + 1)
     top = n * L.stride

@@ -174,6 +174,14 @@ def test_analyze_no_fixed_points_reports_matrix_when_affordable(capsys):
     assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
 
 
+def test_analyze_no_fixed_points_over_a_large_prime(capsys):
+    # E[3] lies over GF(p^4) with p = 1000003 = 3 (mod 4): the field's scan
+    # rules out the 10^6 binomials X^4 + c at once
+    code, data = run_json(capsys, "analyze", "--p", "1000003", "--a", "1", "--b", "1", "--ell", "3")
+    assert code == 0
+    assert data["case"] == "no_fixed_points"
+
+
 def test_analyze_output_deterministic(capsys):
     args = ("analyze", "--p", "11", "--a", "1", "--b", "7", "--ell", "5",
             "--triples", "sample", "50")
@@ -309,6 +317,34 @@ def test_trailing_mode_token_exit_2(capsys, command, spec, extra):
     )
     assert code == 2
     assert repr(extra) in data["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command,spec,message",
+    [
+        ("analyze", ("--triples", "all", "x"), "--triples all: unexpected extra token 'x'"),
+        ("analyze", ("--triples", "sample", "-3"),
+         "--triples sample count must be a non-negative integer, got '-3'"),
+        ("analyze", ("--triples", "some"), "--triples must be all, same-char, or sample [N]"),
+        ("verify", ("--mode", "exhaustive", "7"), "--mode exhaustive: unexpected extra token '7'"),
+        ("verify", ("--mode", "sample", "x"),
+         "--mode sample count must be a non-negative integer, got 'x'"),
+        ("verify", ("--mode", "every"), "--mode must be exhaustive or sample [N]"),
+    ],
+    ids=["analyze-extra", "analyze-count", "analyze-word", "verify-extra", "verify-count", "verify-word"],
+)
+def test_malformed_mode_rejected_before_the_group_is_built(capsys, monkeypatch, command, spec, message):
+    from ellmassey import galois
+
+    def build_gbar(curve, ell):
+        raise RuntimeError("the group was built before the mode was checked")
+
+    monkeypatch.setattr(galois, "build_gbar", build_gbar)
+    code, data = run_json(
+        capsys, command, "--p", "11", "--k0", "2", "--a", "1,2", "--b", "1,2", "--ell", "3", *spec
+    )
+    assert code == 2
+    assert data["error"]["message"] == message
 
 
 def test_sample_count_shared_by_verify_and_analyze(capsys):

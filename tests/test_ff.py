@@ -65,6 +65,61 @@ def test_make_field_moduli_irreducible_by_scan():
         )
 
 
+def rabin_irreducible(f, p):
+    """Reference decider (Rabin): X^(p^k) = X mod f and gcd(X^(p^(k/r)) - X, f) = 1
+    for every prime r | k."""
+    k = len(f) - 1
+    if ff._ip_sub(ff._ip_powmod([0, 1], p**k, f, p), [0, 1], p):
+        return False
+    for r in ff._prime_divisors(k):
+        diff = ff._ip_sub(ff._ip_powmod([0, 1], p ** (k // r), f, p), [0, 1], p)
+        if len(ff._ip_gcd(diff, f, p)) != 1:
+            return False
+    return True
+
+
+def reference_modulus(p, k):
+    """The first monic irreducible of degree k in the scan order, by Rabin's test."""
+    for m in range(p**k):
+        candidate = [m // p**i % p for i in range(k)] + [1]
+        if rabin_irreducible(candidate, p):
+            return tuple(candidate)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9)] + [(7, 24)]
+)
+def test_make_field_modulus_matches_rabin_scan(p, k):
+    assert ff.make_field(p, k).modulus == reference_modulus(p, k)
+
+
+# 4 | k with p = 3 (mod 4), and a prime r | k with r not dividing p - 1
+BINOMIAL_CASES = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 4), (5, 2), (5, 3), (5, 4), (7, 3),
+                  (7, 4), (7, 5), (7, 6), (11, 8), (13, 4), (13, 6), (13, 12), (17, 8)]
+
+
+@pytest.mark.parametrize("p,k", BINOMIAL_CASES)
+def test_binomial_and_ben_or_deciders_match_rabin(p, k):
+    for c in range(p):
+        f = [c] + [0] * (k - 1) + [1]
+        expected = rabin_irreducible(f, p)
+        assert ff._binomial_irreducible(c, k, p) == expected, (c, k, p)
+        assert ff._ip_ben_or(f, p) == expected, (c, k, p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (5, 3)])
+def test_ben_or_matches_rabin_on_every_monic(p, k):
+    for m in range(p**k):
+        f = [m // p**i % p for i in range(k)] + [1]
+        assert ff._ip_ben_or(f, p) == rabin_irreducible(f, p), f
+
+
+def test_make_field_binomial_block_ruled_out_at_once():
+    # p = 3 (mod 4) and 4 | k: no X^4 + c is irreducible, a scan of 10^6
+    # binomials that Rabin's test would take minutes over
+    assert ff.make_field(1000003, 4).modulus == (1, 1, 0, 0, 1)
+
+
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (5, 2), (7, 3), (11, 2), (3, 4)])
 def test_field_axioms_random(p, k):
     F = ff.make_field(p, k)
@@ -402,8 +457,12 @@ def test_poly_powmod_matches_schoolbook(p, k):
         m = _rand_modulus(F, rng, n)  # leading coefficient arbitrary, not monic
         if trial % 3 == 0:
             m[0] = F.zero_raw  # zero constant term: Y divides the modulus
-        # a base longer than 2n - 1 must be reduced before the first square
-        base = _rand_poly(F, rng, rng.randrange(0, 2 * n + 3))
+        # a base shorter than the modulus (used as it is), of equal length, or
+        # longer than 2n - 1: the last two are reduced before the first square
+        length = (rng.randrange(0, n + 1), n + 1, rng.randrange(n + 2, 2 * n + 3))[trial // 2 % 3]
+        base = _rand_poly(F, rng, length)
+        if base and trial % 4 == 1:
+            base[-1] = F.zero_raw  # trailing zero: not trimmed on input
         e = rng.choice([0, 1, 2, 3, rng.randrange(4, 200), F.order, F.order + rng.randrange(F.order)])
         assert ff.poly_powmod(F, base, e, m) == ref_powmod(F, base, e, m), (base, e, m)
     # every residue at p - 1, at the largest slot sums of a reduction step
