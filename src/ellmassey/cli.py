@@ -10,9 +10,9 @@ Subcommands and exit codes:
                 any mismatch
   galois-check  run an abstract-data checker on a JSON input file
 
-  0 success / no mismatch, 1 verification mismatch, 2 input error,
-  3 search exhausted, 4 internal error (a consistency check of the
-  program failed).
+  0 success / no mismatch, 1 verification mismatch, 2 input error (or
+  stdout closed by its reader), 3 search exhausted, 4 internal error (a
+  consistency check of the program failed).
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
 timing field. --seed selects the triples of ``sample N`` and is echoed in
@@ -25,6 +25,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -47,9 +48,9 @@ EXHAUSTIVE_TRIPLE_CAP = 27**3  # the l = 3 full-torsion grid
 
 def _emit(payload, fmt="json", csv_rows=None, csv_header=None):
     if fmt == "csv" and csv_rows is not None:
-        print(",".join(csv_header))
-        for row in csv_rows:
-            print(",".join(str(v) for v in row))
+        lines = [",".join(csv_header)]
+        lines.extend(",".join(map(str, row)) for row in csv_rows)
+        print("\n".join(lines))
     else:
         print(json.dumps(payload, sort_keys=True))
 
@@ -199,7 +200,8 @@ def _parse_mode(spec_parts, flag, words, usage):
 
 
 def _select_triples(chars, mode, count, seed):
-    """The triples of a parsed mode, and the mode label for meta.mode."""
+    """The triples of a parsed mode over the sequence ``chars`` (characters
+    or their indices: both draw the same samples), and the label for meta.mode."""
     if mode == "same-char":
         return [(chi, chi, chi) for chi in chars], mode
     if mode == "sample":
@@ -245,15 +247,17 @@ def cmd_analyze(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    triples, mode = _select_triples(chars, mode, count, args.seed)
+    # triples of character indices; rows share each character's value list
+    triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
+    as_list = [list(chi.values) for chi in chars]
     verdicts = []
-    for c1, c2, c3 in triples:
-        v = massey.triple_verdict(c1, c2, c3, group)
+    for i, j, k in triples:
+        v = massey.triple_verdict(chars[i], chars[j], chars[k], group)
         verdicts.append(
             {
-                "chi1": list(c1.values),
-                "chi2": list(c2.values),
-                "chi3": list(c3.values),
+                "chi1": as_list[i],
+                "chi2": as_list[j],
+                "chi3": as_list[k],
                 "status": v.status.value,
                 "reason": v.reason,
                 "witness": v.witness,
@@ -282,16 +286,13 @@ def cmd_analyze(args) -> int:
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }
-    csv_rows = [
-        (
-            "|".join(map(str, v["chi1"])),
-            "|".join(map(str, v["chi2"])),
-            "|".join(map(str, v["chi3"])),
-            v["status"],
-            v["reason"],
-        )
-        for v in verdicts
-    ]
+    csv_rows = None
+    if args.format == "csv":
+        as_cell = ["|".join(map(str, values)) for values in as_list]
+        csv_rows = [
+            (as_cell[i], as_cell[j], as_cell[k], v["status"], v["reason"])
+            for (i, j, k), v in zip(triples, verdicts)
+        ]
     _emit(payload, args.format, csv_rows, ("chi1", "chi2", "chi3", "status", "reason"))
     return EXIT_OK
 
@@ -403,7 +404,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more there, and keep the
+        # interpreter's final flush from failing on the same pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except SearchExhausted as exc:
         _error(str(exc))
         return EXIT_NO_MATCH

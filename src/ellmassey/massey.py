@@ -54,6 +54,21 @@ class MasseyVerdict:
         return {"status": self.status.value, "reason": self.reason, "witness": self.witness}
 
 
+_CUP12_NONZERO = MasseyVerdict(VerdictStatus.EMPTY, "cup12-nonzero")
+_CUP23_NONZERO = MasseyVerdict(VerdictStatus.EMPTY, "cup23-nonzero")
+_BASE_FIELD = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "base-field-characters")
+_SPLIT_LINE_LIFT = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "split-line-lift")
+_SHORTER_THAN_EXPONENT = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "triple-shorter-than-exponent")
+_ZERO_FACTOR = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "zero-factor")
+_LINES_PRESERVED = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "kernel-lines-all-preserved")
+
+
+def _cup_vanishes(chi1: Character, chi2: Character, case: GaloisCase) -> bool:
+    if case is GaloisCase.NO_FIXED_POINTS or case is GaloisCase.UNIPOTENT_LINE:
+        return True
+    return proportional(chi1, chi2)
+
+
 def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     """Whether the cup product of the two characters is zero.
 
@@ -62,32 +77,33 @@ def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     vectors are proportional (in particular when either character is zero).
     """
     check_group(g, chi1, chi2)
-    if g.case in (GaloisCase.NO_FIXED_POINTS, GaloisCase.UNIPOTENT_LINE):
-        return True
-    return proportional(chi1, chi2)
+    return _cup_vanishes(chi1, chi2, g.case)
 
 
 def triple_verdict(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> MasseyVerdict:
     """Closed-form status of the triple Massey product of three characters."""
     check_group(g, chi1, chi2, chi3)
-    if not cup_vanishes(chi1, chi2, g):
-        return MasseyVerdict(VerdictStatus.EMPTY, "cup12-nonzero")
-    if not cup_vanishes(chi2, chi3, g):
-        return MasseyVerdict(VerdictStatus.EMPTY, "cup23-nonzero")
+    case = g.case
+    if not _cup_vanishes(chi1, chi2, case):
+        return _CUP12_NONZERO
+    if not _cup_vanishes(chi2, chi3, case):
+        return _CUP23_NONZERO
 
-    if g.case is GaloisCase.NO_FIXED_POINTS:
-        return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "base-field-characters")
-    if g.case is GaloisCase.SPLIT_LINE:
-        return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "split-line-lift")
-    if g.case is GaloisCase.UNIPOTENT_LINE:
+    if case is GaloisCase.NO_FIXED_POINTS:
+        return _BASE_FIELD
+    if case is GaloisCase.SPLIT_LINE:
+        return _SPLIT_LINE_LIFT
+    if case is GaloisCase.UNIPOTENT_LINE:
         return _unipotent_verdict(chi1, chi2, chi3, g)
     return _full_torsion_verdict(chi1, chi2, chi3, g)
 
 
 def _unipotent_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
+    # generators (mprime, m, phi): the values are (0, x, f)
     ell = g.ell
-    x1, x2, x3 = (chi.values[1] for chi in (chi1, chi2, chi3))
-    f1, f2, f3 = (chi.on_phi() for chi in (chi1, chi2, chi3))
+    _, x1, f1 = chi1.values
+    _, x2, f2 = chi2.values
+    _, x3, f3 = chi3.values
     c = g.constants["c"]
     r = (f1 * x2 - f2 * x1) % ell
     t = (f2 * x3 - f3 * x2) % ell
@@ -104,15 +120,15 @@ def _unipotent_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
 
 def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
     if g.ell > 3:
-        return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "triple-shorter-than-exponent")
+        return _SHORTER_THAN_EXPONENT
     if chi1.is_zero() or chi2.is_zero() or chi3.is_zero():
-        return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "zero-factor")
+        return _ZERO_FACTOR
     # cups vanished, so the three nonzero characters span one line; scaling
     # invariance reduces the product to <chi, chi, chi> with chi = chi3
     chi = chi3
     xt = chi.torsion_values()
     if xt == (0, 0):
-        return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "base-field-characters")
+        return _BASE_FIELD
     moved = _moved_kernel_vector(g, xt)
     if moved is not None:
         a, image = moved
@@ -121,7 +137,7 @@ def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
             "kernel-vector-moved-off-line",
             {"torsion_vector": list(a), "frobenius_image": list(image)},
         )
-    return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "kernel-lines-all-preserved")
+    return _LINES_PRESERVED
 
 
 def _moved_kernel_vector(g: GbarGroup, torsion_values):

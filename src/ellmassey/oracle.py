@@ -7,36 +7,45 @@ criterion). The oracle decides these with the superdiagonal pinned to the
 character values, evaluating every defining relation of the group with
 generic matrix arithmetic.
 
-With the superdiagonal pinned, the U4 product and inverse never multiply
-two free entries (u, v, w) together, so every entry of a
-relation residual is an affine function of the free entries of all generator
-images. The oracle reads each such function off by probing: it evaluates the
-residual at zero and at every unit vector of the unknowns, then solves the
-resulting linear system over Z/l exactly. A lift exists iff the
-superdiagonal residuals vanish and the system is solvable:
+With the superdiagonal (a1, a2, a3) pinned to (chi1, chi2, chi3), the U4
+product and inverse never multiply two free entries (u, v, w) together, and
+each entry of a relation residual has a fixed multilinear form:
 
-  nonempty       unknowns u, w; the u and w slots must vanish
+  a1, a2, a3  linear in chi1, chi2, chi3 (one exponent-sum form)
+  u           constant coefficients on the u unknowns; a right-hand side
+              bilinear in (chi1, chi2)
+  w           constant coefficients on the w unknowns; a right-hand side
+              bilinear in (chi2, chi3)
+  v           constant coefficients on the v unknowns, chi3-linear ones on
+              the u unknowns, chi1-linear ones on the w unknowns; a
+              trilinear right-hand side
+
+These tables are compiled once per presentation, by probing the residual at
+unit vectors, checked against the residual at one further point, and kept in
+a bounded cache. Each question then evaluates the forms and solves one linear
+system over Z/l exactly:
+
   contains zero  unknowns u, v, w; all three slots must vanish
   cup            U4 with a3 = 0, whose u entry multiplies exactly like the
-                 U3 corner (u + u' + a1*a2', inverse a1*a2 - u); unknown u,
-                 and the u slot must vanish
+                 U3 corner; unknown u, and the u slot must vanish
+  nonempty       unknowns u, w; the u and w slots must vanish. They share no
+                 unknown, so this is the u-system on (chi1, chi2) and the
+                 w-system on (chi2, chi3), each solved once per ordered pair
 
 A witness is the reduced row-echelon solution with every free unknown set
 to 0, so witnesses are reproducible; each is re-verified against every
-relation before it is returned. The literal brute forces that cross-check
-these solves live with the tests.
+relation before it is returned. The probing solve that reads the system
+afresh for every question, and the literal brute forces, cross-check these
+solves from the tests.
 """
 
 from __future__ import annotations
 
-from .errors import UnsoundLift
+from functools import lru_cache
+
+from .errors import InternalError, UnsoundLift
 from .galois import Character, GbarGroup, Presentation, check_group
 from .unitri import U4_ID, u4_inv_raw, u4_mul_raw, u4_pow_raw
-
-# free-entry slots of a raw U4 tuple (a1, a2, a3, u, v, w)
-_U4_CUP_SLOTS = (3,)
-_U4_QUOTIENT_SLOTS = (3, 5)
-_U4_FULL_SLOTS = (3, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -61,80 +70,212 @@ def _residual_u4(l, images, rel):
 def _solve_linear_mod(eqs, n_unknowns: int, l: int):
     """A solution of a small linear system over Z/l, or None if inconsistent.
 
-    The system is brought to reduced row-echelon form; the returned solution
-    sets every free (non-pivot) unknown to 0.
+    ``eqs`` holds (coefficients, right-hand side) pairs, the coefficients
+    reduced mod l. The system is brought to reduced row-echelon form; the
+    returned solution sets every free (non-pivot) unknown to 0. Zero rows are
+    dropped first: they hold no pivot, and the echelon form is unique.
     """
-    rows = [list(coeffs) + [rhs % l] for coeffs, rhs in eqs]
-    piv_of_col = {}
-    r = 0
+    rows = [row for coeffs, rhs in eqs if any(row := [*coeffs, rhs % l])]
+    pivot_cols = []
     for col in range(n_unknowns):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % l), None)
-        if piv is None:
+        r = len(pivot_cols)
+        for piv in range(r, len(rows)):
+            if rows[piv][col]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, l)
-        rows[r] = [v * inv % l for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % l:
-                f = rows[i][col]
-                rows[i] = [(v - f * w) % l for v, w in zip(rows[i], rows[r])]
-        piv_of_col[col] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] % l:
-            return None
+        pivot = rows[r]
+        if pivot[col] != 1:
+            inv = pow(pivot[col], -1, l)
+            pivot = rows[r] = [v * inv % l for v in pivot]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(v - f * w) % l for v, w in zip(row, pivot)]
+        pivot_cols.append(col)
+    if any(row[-1] for row in rows[len(pivot_cols) :]):
+        return None
     solution = [0] * n_unknowns
-    for col, row in piv_of_col.items():
-        solution[col] = rows[row][-1] % l
+    for row, col in zip(rows, pivot_cols):
+        solution[col] = row[-1]
     return solution
 
 
-def _solve_lift(pres: Presentation, base, slots, residual):
-    """Generator images making every relation residual vanish, or None.
+# ---------------------------------------------------------------------------
+# the compiled system
 
-    ``base[i]`` is generator i's image with the superdiagonal pinned and
-    every free entry 0; the unknowns are the entries at ``slots`` of every
-    image, and the residual entries before the first slot are the
-    superdiagonal ones, which no unknown can change. Each residual slot is
-    affine in the unknowns, so its coefficients are read off by probing the
-    residual at ``base`` and at ``base`` plus each unit vector.
+_A1, _A2, _A3, _U, _V, _W = range(6)  # slots of a raw U4 tuple
+
+
+class _RelationForms:
+    """The residual of one relation as multilinear forms, read by probing.
+
+    Sparse forms are lists of (generator indices..., coefficient) with the
+    coefficient nonzero; ``cu``, ``cv``, ``cw`` are dense per generator.
     """
-    l = pres.ell
-    k = len(slots)
-    n_unknowns = k * len(base)
-    eqs = []
-    for rel in pres.relations:
-        r0 = residual(l, base, rel)
-        if any(r0[: slots[0]]):
+
+    __slots__ = ("diag", "cu", "cv", "cw", "bu", "bw", "mu", "mw", "t", "urow", "vrow", "wrow")
+
+    def __init__(self, l: int, n: int, rel):
+        def probe(slot, *entries):
+            images = [[0] * 6 for _ in range(n)]
+            for g, s in entries:
+                images[g][s] = 1
+            return _residual_u4(l, [tuple(img) for img in images], rel)[slot]
+
+        gens = range(n)
+        pairs = [(f, g) for f in gens for g in gens]
+        self.diag = [(g, c) for g in gens if (c := probe(_A1, (g, _A1)))]
+        self.cu = [probe(_U, (g, _U)) for g in gens]
+        self.cv = [probe(_V, (g, _V)) for g in gens]
+        self.cw = [probe(_W, (g, _W)) for g in gens]
+        self.bu = [(f, g, c) for f, g in pairs if (c := probe(_U, (f, _A1), (g, _A2)))]
+        self.bw = [(f, g, c) for f, g in pairs if (c := probe(_W, (f, _A2), (g, _A3)))]
+        self.mu = [(g, h, c) for g, h in pairs if (c := probe(_V, (g, _U), (h, _A3)))]
+        self.mw = [(g, h, c) for g, h in pairs if (c := probe(_V, (g, _W), (h, _A1)))]
+        self.t = [
+            (f, g, h, c)
+            for f, g in pairs
+            for h in gens
+            if (c := probe(_V, (f, _A1), (g, _A2), (h, _A3)))
+        ]
+        # rows of the full system with the unknowns ordered (generator, u/v/w);
+        # the v row also takes the mu and mw terms of each triple
+        self.urow, self.vrow, self.wrow = ([0] * (3 * n) for _ in range(3))
+        for g in gens:
+            self.urow[3 * g] = self.cu[g]
+            self.vrow[3 * g + 1] = self.cv[g]
+            self.wrow[3 * g + 2] = self.cw[g]
+
+    def residual(self, l: int, images):
+        """The residual these forms predict at ``images`` (raw U4 tuples)."""
+        x, y, z, u, v, w = zip(*images)
+        return (
+            _linear(self.diag, x) % l,
+            _linear(self.diag, y) % l,
+            _linear(self.diag, z) % l,
+            (_dot(self.cu, u) + _bilinear(self.bu, x, y)) % l,
+            (
+                _dot(self.cv, v)
+                + _bilinear(self.mu, u, z)
+                + _bilinear(self.mw, w, x)
+                + _trilinear(self.t, x, y, z)
+            ) % l,
+            (_dot(self.cw, w) + _bilinear(self.bw, y, z)) % l,
+        )
+
+
+def _dot(coeffs, x):
+    return sum(c * v for c, v in zip(coeffs, x))
+
+
+def _linear(form, x):
+    return sum(c * x[g] for g, c in form)
+
+
+def _bilinear(form, x, y):
+    return sum(c * x[f] * y[g] for f, g, c in form)
+
+
+def _trilinear(form, x, y, z):
+    return sum(c * x[f] * y[g] * z[h] for f, g, h, c in form)
+
+
+class _LiftSystem:
+    """The lifting equations of one presentation, compiled once.
+
+    Arguments are value vectors over the generators, reduced mod l. The
+    pair systems are memoised per ordered pair; the full system is built
+    per triple, row for row in the order (relation, slot u/v/w) with the
+    unknowns ordered (generator, u/v/w).
+    """
+
+    def __init__(self, pres: Presentation):
+        l = self.ell = pres.ell
+        n = self.n = len(pres.gen_names)
+        self.forms = [_RelationForms(l, n, rel) for rel in pres.relations]
+        check = [tuple(1 + (g + s) % (l - 1) for s in range(6)) for g in range(n)]
+        for i, (rel, forms) in enumerate(zip(pres.relations, self.forms)):
+            if forms.residual(l, check) != _residual_u4(l, check, rel):
+                raise InternalError(
+                    f"compiled lifting system disagrees with relation {i} at {check}"
+                )
+        # (coefficients, right-hand side form) per relation, and the memo
+        self._u = ([(f.cu, f.bu) for f in self.forms], {})
+        self._w = ([(f.cw, f.bw) for f in self.forms], {})
+
+    def _is_character(self, x) -> bool:
+        return all(_linear(f.diag, x) % self.ell == 0 for f in self.forms)
+
+    def _pair_solvable(self, system, x, y) -> bool:
+        """The u- or w-system on the pair (x, y), solved once per pair."""
+        rows, memo = system
+        found = memo.get((x, y))
+        if found is None:
+            eqs = [(coeffs, -_bilinear(form, x, y)) for coeffs, form in rows]
+            found = memo[x, y] = (
+                self._is_character(x)
+                and self._is_character(y)
+                and _solve_linear_mod(eqs, self.n, self.ell) is not None
+            )
+        return found
+
+    def cup(self, x, y) -> bool:
+        """The u-system on (x, y): a U3 lift with superdiagonal (x, y) exists."""
+        return self._pair_solvable(self._u, x, y)
+
+    def nonempty(self, x, y, z) -> bool:
+        """A lift into U4 modulo its center exists: u on (x, y), w on (y, z)."""
+        return self.cup(x, y) and self._pair_solvable(self._w, y, z)
+
+    def full(self, x, y, z):
+        """Images (a1, a2, a3, u, v, w) per generator of the RREF solution, or None."""
+        if not self.nonempty(x, y, z):  # no lift modulo the center, so none to U4
             return None
-        rows = [[0] * n_unknowns for _ in slots]
-        for g in sorted({g for g, _ in rel.lhs + rel.rhs}):
-            images = list(base)
-            for j, s in enumerate(slots):
-                images[g] = base[g][:s] + (1,) + base[g][s + 1 :]
-                r1 = residual(l, images, rel)
-                for row, t in zip(rows, slots):
-                    row[g * k + j] = (r1[t] - r0[t]) % l
-        eqs.extend((row, -r0[t]) for row, t in zip(rows, slots))
-    sol = _solve_linear_mod(eqs, n_unknowns, l)
-    if sol is None:
-        return None
-    images = []
-    for g, img in enumerate(base):
-        img = list(img)
-        for j, s in enumerate(slots):
-            img[s] = sol[g * k + j]
-        images.append(tuple(img))
-    return images
+        l, n = self.ell, self.n
+        eqs = []
+        for f in self.forms:
+            vrow = f.vrow[:]
+            for g, h, c in f.mu:
+                vrow[3 * g] = (vrow[3 * g] + c * z[h]) % l
+            for g, h, c in f.mw:
+                vrow[3 * g + 2] = (vrow[3 * g + 2] + c * x[h]) % l
+            eqs.append((f.urow, -_bilinear(f.bu, x, y)))
+            eqs.append((vrow, -_trilinear(f.t, x, y, z)))
+            eqs.append((f.wrow, -_bilinear(f.bw, y, z)))
+        sol = _solve_linear_mod(eqs, 3 * n, l)
+        if sol is None:
+            return None
+        return [(x[g], y[g], z[g], *sol[3 * g : 3 * g + 3]) for g in range(n)]
 
 
-def _solve_u4(pres: Presentation, superdiags, slots):
-    base = [(s[0] % pres.ell, s[1] % pres.ell, s[2] % pres.ell, 0, 0, 0) for s in superdiags]
-    return _solve_lift(pres, base, slots, _residual_u4)
+@lru_cache(maxsize=32)
+def _lift_system(pres: Presentation) -> _LiftSystem:
+    return _LiftSystem(pres)
+
+
+def _reduced(l, values):
+    return tuple(v % l for v in values)
+
+
+def _columns(l, superdiags):
+    """The (a1, a2, a3) rows of per-generator superdiagonals as three vectors."""
+    return tuple(_reduced(l, col) for col in zip(*superdiags))
 
 
 # ---------------------------------------------------------------------------
 # U4 lifts
+
+def _checked_witness(pres: Presentation, x, y, z):
+    images = _lift_system(pres).full(x, y, z)
+    if images is None:
+        return None
+    witness = dict(zip(pres.gen_names, images))
+    if not lift_is_sound(pres, list(zip(x, y, z)), witness):
+        raise UnsoundLift(f"oracle witness fails a relation: {witness}")
+    return witness
+
 
 def find_full_lift(pres: Presentation, superdiags):
     """A homomorphism into U4(Z/l) with the given superdiagonals, or None.
@@ -144,18 +285,12 @@ def find_full_lift(pres: Presentation, superdiags):
     and is re-verified against every relation with generic multiplication;
     a witness that fails raises ``UnsoundLift``.
     """
-    images = _solve_u4(pres, superdiags, _U4_FULL_SLOTS)
-    if images is None:
-        return None
-    witness = dict(zip(pres.gen_names, images))
-    if not lift_is_sound(pres, superdiags, witness):
-        raise UnsoundLift(f"oracle witness fails a relation: {witness}")
-    return witness
+    return _checked_witness(pres, *_columns(pres.ell, superdiags))
 
 
 def center_lift_exists(pres: Presentation, superdiags) -> bool:
     """True iff a homomorphism into U4/Z(U4) with these superdiagonals exists."""
-    return _solve_u4(pres, superdiags, _U4_QUOTIENT_SLOTS) is not None
+    return _lift_system(pres).nonempty(*_columns(pres.ell, superdiags))
 
 
 def lift_is_sound(pres: Presentation, superdiags, witness) -> bool:
@@ -177,28 +312,23 @@ def cup_lift_exists(pres: Presentation, diag1, diag2) -> bool:
     The U3 image (a, b, c) is solved as the U4 image (a, b, 0, c, 0, 0): with
     a3 = 0 the u entry of U4 products and inverses is exactly the U3 corner.
     """
-    superdiags = [(a, b, 0) for a, b in zip(diag1, diag2)]
-    return _solve_u4(pres, superdiags, _U4_CUP_SLOTS) is not None
+    l = pres.ell
+    return _lift_system(pres).cup(_reduced(l, diag1), _reduced(l, diag2))
 
 
 # ---------------------------------------------------------------------------
-# character-level API
-
-def _superdiag3(g: GbarGroup, chi1, chi2, chi3):
-    n = len(g.gen_names)
-    return [(chi1.values[i], chi2.values[i], chi3.values[i]) for i in range(n)]
-
+# character-level API (character values are already reduced mod l)
 
 def oracle_cup(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
     """Ground truth for cup-product vanishing: a U3 lift exists."""
     check_group(g, chi1, chi2)
-    return cup_lift_exists(g.presentation(), chi1.values, chi2.values)
+    return _lift_system(g.presentation()).cup(chi1.values, chi2.values)
 
 
 def oracle_nonempty(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> bool:
     """Ground truth for nonemptiness: a lift into U4 modulo its center exists."""
     check_group(g, chi1, chi2, chi3)
-    return center_lift_exists(g.presentation(), _superdiag3(g, chi1, chi2, chi3))
+    return _lift_system(g.presentation()).nonempty(chi1.values, chi2.values, chi3.values)
 
 
 def oracle_contains_zero(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> bool:
@@ -209,4 +339,4 @@ def oracle_contains_zero(chi1: Character, chi2: Character, chi3: Character, g: G
 def oracle_lift_witness(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup):
     """A full U4 lift (the row-echelon solution of the lifting system), or None."""
     check_group(g, chi1, chi2, chi3)
-    return find_full_lift(g.presentation(), _superdiag3(g, chi1, chi2, chi3))
+    return _checked_witness(g.presentation(), chi1.values, chi2.values, chi3.values)

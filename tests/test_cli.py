@@ -1,6 +1,10 @@
 """CLI behavior: flags, exit codes, output schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,51 @@ def test_search_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "p,a,b,frobenius_matrix,points"
     assert len(lines) == 2
+
+
+def test_analyze_csv_with_no_rows_prints_only_the_header(capsys):
+    code, out = run(
+        capsys, "analyze", "--p", "11", "--a", "1", "--b", "7", "--ell", "5",
+        "--triples", "sample", "0", "--format", "csv",
+    )
+    assert code == 0
+    assert out == "chi1,chi2,chi3,status,reason\n"
+
+
+@pytest.mark.parametrize("curve", [("7", "0", "2"), ("7", "0", "1"), ("5", "0", "1")])
+def test_analyze_csv_rows_equal_json_rows(capsys, curve):
+    p, a, b = curve
+    args = ("analyze", "--p", p, "--a", a, "--b", b, "--ell", "3", "--triples", "all")
+    code, data = run_json(capsys, *args)
+    assert code == 0
+    code, out = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "chi1,chi2,chi3,status,reason"
+    assert rows == [
+        ",".join(
+            ["|".join(map(str, v[k])) for k in ("chi1", "chi2", "chi3")] + [v["status"], v["reason"]]
+        )
+        for v in data["verdicts"]
+    ]
+    assert len(rows) == data["characters"] ** 3
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that stops early (``| head -c 10``) is not a mismatch."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ellmassey.cli", "analyze", "--p", "11", "--a", "1",
+         "--b", "7", "--ell", "5", "--triples", "all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in stderr
+    assert stderr == ""
 
 
 def test_analyze_unipotent_ell5_contains_non_vanishing_row(capsys):

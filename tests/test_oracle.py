@@ -7,7 +7,7 @@ import pytest
 
 import fixtures
 from ellmassey import oracle, unitri
-from ellmassey.errors import GroupMismatch, UnsoundLift
+from ellmassey.errors import GroupMismatch, InternalError, UnsoundLift
 from ellmassey.oracle import (
     center_lift_exists,
     cup_lift_exists,
@@ -102,6 +102,108 @@ def test_monotonicity_contains_zero_implies_nonempty():
                 assert oracle_nonempty(c1, c2, c3, g)
 
 
+# ---------------------------------------------------------------------------
+# reference: the probing solve, reading the lifting system afresh per question
+
+_CUP_SLOTS = (3,)
+_QUOTIENT_SLOTS = (3, 5)
+_FULL_SLOTS = (3, 4, 5)
+
+
+def _reference_lift(pres, superdiags, slots):
+    """Generator images making every relation residual vanish, or None.
+
+    Every generator image has its superdiagonal pinned and its other free
+    entries 0, except the unknowns at ``slots``. Each residual slot is
+    affine in the unknowns, so its coefficients are read off by probing the
+    residual at the pinned images and at the pinned images plus each unit
+    vector; the residual entries before the first slot are the
+    superdiagonal ones, which no unknown can change.
+    """
+    l = pres.ell
+    base = [(s[0] % l, s[1] % l, s[2] % l, 0, 0, 0) for s in superdiags]
+    k = len(slots)
+    n_unknowns = k * len(base)
+    eqs = []
+    for rel in pres.relations:
+        r0 = oracle._residual_u4(l, base, rel)
+        if any(r0[: slots[0]]):
+            return None
+        rows = [[0] * n_unknowns for _ in slots]
+        for g in sorted({g for g, _ in rel.lhs + rel.rhs}):
+            images = list(base)
+            for j, s in enumerate(slots):
+                images[g] = base[g][:s] + (1,) + base[g][s + 1 :]
+                r1 = oracle._residual_u4(l, images, rel)
+                for row, t in zip(rows, slots):
+                    row[g * k + j] = (r1[t] - r0[t]) % l
+        eqs.extend((row, -r0[t]) for row, t in zip(rows, slots))
+    sol = oracle._solve_linear_mod(eqs, n_unknowns, l)
+    if sol is None:
+        return None
+    images = []
+    for g, img in enumerate(base):
+        img = list(img)
+        for j, s in enumerate(slots):
+            img[s] = sol[g * k + j]
+        images.append(tuple(img))
+    return images
+
+
+def _triples_to_check(chars, seed):
+    if len(chars) ** 3 <= 729:
+        return list(itertools.product(chars, repeat=3))
+    rng = random.Random(seed)
+    return [tuple(rng.choice(chars) for _ in range(3)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("key", sorted(fixtures.CURVES), ids=lambda k: f"l{k[0]}-{k[1]}")
+def test_compiled_system_matches_probing_reference(key):
+    """Witnesses, nonemptiness and cups equal those of the probing solve."""
+    g = fixtures.group(*key)
+    pres = g.presentation()
+    for c1, c2, c3 in _triples_to_check(g.characters(), 43):
+        diags = _superdiags(g, c1, c2, c3)
+        ref = _reference_lift(pres, diags, _FULL_SLOTS)
+        expected = None if ref is None else dict(zip(pres.gen_names, ref))
+        assert find_full_lift(pres, diags) == expected
+        assert oracle_lift_witness(c1, c2, c3, g) == expected
+        nonempty = _reference_lift(pres, diags, _QUOTIENT_SLOTS) is not None
+        assert center_lift_exists(pres, diags) == nonempty
+        assert oracle_nonempty(c1, c2, c3, g) == nonempty
+        cup_diags = [(a, b, 0) for a, b in zip(c1.values, c2.values)]
+        cup = _reference_lift(pres, cup_diags, _CUP_SLOTS) is not None
+        assert cup_lift_exists(pres, c1.values, c2.values) == cup
+        assert oracle_cup(c1, c2, g) == cup
+
+
+def test_compiled_system_matches_reference_off_characters():
+    """The low-level API also agrees on superdiagonals that are not characters."""
+    g = fixtures.group(3, "unipotent_line")
+    pres = g.presentation()
+    rng = random.Random(47)
+    for _ in range(200):
+        diags = [tuple(rng.randrange(3) for _ in range(3)) for _ in pres.gen_names]
+        ref = _reference_lift(pres, diags, _FULL_SLOTS)
+        assert find_full_lift(pres, diags) == (None if ref is None else dict(zip(pres.gen_names, ref)))
+        assert center_lift_exists(pres, diags) == (_reference_lift(pres, diags, _QUOTIENT_SLOTS) is not None)
+
+
+def test_compiled_table_disagreement_raises(monkeypatch):
+    """A compiled table that disagrees with the residual is an internal error."""
+    pres = fixtures.group(5, "unipotent_line").presentation()
+    oracle._LiftSystem(pres)  # the real tables pass their check
+    real = oracle._RelationForms.residual
+
+    def off_by_one_in_v(self, l, images):
+        r = real(self, l, images)
+        return r[:4] + ((r[4] + 1) % l,) + r[5:]
+
+    monkeypatch.setattr(oracle._RelationForms, "residual", off_by_one_in_v)
+    with pytest.raises(InternalError):
+        oracle._LiftSystem(pres)
+
+
 def test_nonempty_equals_cup_pair_condition():
     # the two oracles must agree: nonempty iff both consecutive cups lift
     for ell, case in [(3, "full_torsion"), (3, "split_line"), (5, "unipotent_line")]:
@@ -113,10 +215,13 @@ def test_nonempty_equals_cup_pair_condition():
             if len(chars) <= 9
             else [tuple(rng.choice(chars) for _ in range(3)) for _ in range(400)]
         )
+        pres = g.presentation()
         for c1, c2, c3 in triples:
-            assert oracle_nonempty(c1, c2, c3, g) == (
-                oracle_cup(c1, c2, g) and oracle_cup(c2, c3, g)
-            )
+            nonempty = oracle_nonempty(c1, c2, c3, g)
+            assert nonempty == (oracle_cup(c1, c2, g) and oracle_cup(c2, c3, g))
+            # the joint (u, w) system of the probing reference, not split by pairs
+            joint = _reference_lift(pres, _superdiags(g, c1, c2, c3), _QUOTIENT_SLOTS)
+            assert nonempty == (joint is not None)
 
 
 def test_structured_search_matches_bruteforce_l3():

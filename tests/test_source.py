@@ -31,3 +31,25 @@ def test_traced_benchmark_names_resolve():
         if not callable(owner):
             missing.append(f"{mod_name}.{qualname}")
     assert missing == []
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    """The oracle imports nothing from massey, and from unitri only the
+    generic U4 product, inverse, power and identity: engine = oracle stays
+    a check between two independent derivations."""
+    generic_unitri = {"U4_ID", "u4_mul_raw", "u4_inv_raw", "u4_pow_raw"}
+    path = Path(ellmassey.__file__).parent / "oracle.py"
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names if a.name.split(".")[-1] in ("massey", "unitri")]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = {a.name for a in node.names}
+            if module == "massey" or "massey" in names:
+                bad.append(f"massey from {node.module}")
+            if module == "unitri":
+                bad += sorted(names - generic_unitri)
+            elif "unitri" in names:
+                bad.append(f"unitri from {node.module}")
+    assert bad == []
