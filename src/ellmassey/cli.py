@@ -247,22 +247,30 @@ def cmd_analyze(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    # triples of character indices; rows share each character's value list
+    # triples of character indices: each character's output is built once,
+    # and only the rows of the requested format
     triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
-    as_list = [list(chi.values) for chi in chars]
-    verdicts = []
-    for i, j, k in triples:
-        v = massey.triple_verdict(chars[i], chars[j], chars[k], group)
-        verdicts.append(
+    verdicts = (massey.triple_verdict(chars[i], chars[j], chars[k], group) for i, j, k in triples)
+    json_rows = csv_rows = None
+    if args.format == "csv":
+        cells = ["|".join(map(str, chi.values)) for chi in chars]
+        csv_rows = [
+            (cells[i], cells[j], cells[k], v.status.value, v.reason)
+            for (i, j, k), v in zip(triples, verdicts)
+        ]
+    else:
+        lists = [list(chi.values) for chi in chars]
+        json_rows = [
             {
-                "chi1": as_list[i],
-                "chi2": as_list[j],
-                "chi3": as_list[k],
+                "chi1": lists[i],
+                "chi2": lists[j],
+                "chi3": lists[k],
                 "status": v.status.value,
                 "reason": v.reason,
                 "witness": v.witness,
             }
-        )
+            for (i, j, k), v in zip(triples, verdicts)
+        ]
     mat_l, mat_lp = _report_matrices(curve, group)
     payload = {
         "curve": {
@@ -279,20 +287,13 @@ def cmd_analyze(args) -> int:
         "frobenius_matrix_lprime": _matrix_to_json(mat_lp),
         "constants": _constants_json(group),
         "characters": len(chars),
-        "verdicts": verdicts,
+        "verdicts": json_rows,
         "meta": {
             "seed": args.seed,
             "mode": mode,
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }
-    csv_rows = None
-    if args.format == "csv":
-        as_cell = ["|".join(map(str, values)) for values in as_list]
-        csv_rows = [
-            (as_cell[i], as_cell[j], as_cell[k], v["status"], v["reason"])
-            for (i, j, k), v in zip(triples, verdicts)
-        ]
     _emit(payload, args.format, csv_rows, ("chi1", "chi2", "chi3", "status", "reason"))
     return EXIT_OK
 

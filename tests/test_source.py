@@ -47,7 +47,7 @@ def test_oracle_is_independent_of_the_closed_forms():
             module = (node.module or "").split(".")[-1]
             names = {a.name for a in node.names}
             if module == "massey" or "massey" in names:
-                bad.append(f"massey from {node.module}")
+                bad.append(f"massey from {node.module or '.'}")
             if module == "unitri":
                 bad += sorted(names - generic_unitri)
             elif "unitri" in names:
