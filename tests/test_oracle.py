@@ -185,8 +185,10 @@ def test_compiled_system_matches_reference_off_characters():
     for _ in range(200):
         diags = [tuple(rng.randrange(3) for _ in range(3)) for _ in pres.gen_names]
         ref = _reference_lift(pres, diags, _FULL_SLOTS)
-        assert find_full_lift(pres, diags) == (None if ref is None else dict(zip(pres.gen_names, ref)))
-        assert center_lift_exists(pres, diags) == (_reference_lift(pres, diags, _QUOTIENT_SLOTS) is not None)
+        expected = None if ref is None else dict(zip(pres.gen_names, ref))
+        assert find_full_lift(pres, diags) == expected
+        nonempty = _reference_lift(pres, diags, _QUOTIENT_SLOTS) is not None
+        assert center_lift_exists(pres, diags) == nonempty
 
 
 def test_compiled_table_disagreement_raises(monkeypatch):
