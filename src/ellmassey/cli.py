@@ -219,12 +219,8 @@ def _report_matrices(curve, group):
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
         normalized = group.context["normalized_action"]
         return normalized.reduce(group.ell), normalized
-    psi = ec.division_polynomial(curve, group.ell)
-    factors = ff.factor_monic_squarefree(curve.base, [c.coeffs for c in psi])
-    degree = 1
-    for d, _ in factors:
-        degree = degree * d // math.gcd(degree, d)
-    if 2 * degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
+    _, factors = ec._torsion_field_degree(curve, group.ell)
+    if 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None
     basis = ec.torsion_basis(curve, group.ell)
     action = ec.frobenius_matrix(basis)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import ff
 from .errors import (
@@ -420,14 +420,12 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     return TorsionBasis(n, P, Q, k, table)
 
 
+@lru_cache(maxsize=32)
 def _torsion_field_degree(curve: Curve, n: int):
     """(k, factors): least k with E[n] rational over F_{q^k}, via psi_n factors."""
     F = curve.base
-    psi = _division_raw(curve, n)
-    factors = ff.factor_monic_squarefree(F, psi)
-    k1 = 1
-    for d, _ in factors:
-        k1 = k1 * d // gcd(k1, d)
+    factors = tuple(ff.factor_monic_squarefree(F, _division_raw(curve, n)))
+    k1 = lcm(*(d for d, _ in factors))
     need_double = False
     a, b = curve.a.coeffs, curve.b.coeffs
     h = [b, a, F.zero_raw, F.one_raw]

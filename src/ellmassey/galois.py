@@ -304,9 +304,6 @@ class Character:
         if not character_values_valid(group.presentation(), self.values):
             raise GroupMismatch(f"values {self.values} do not define a character")
 
-    def __call__(self, gen_index: int) -> int:
-        return self.values[gen_index]
-
     def on_phi(self) -> int:
         return self.values[-1]
 

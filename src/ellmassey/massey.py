@@ -12,11 +12,24 @@ The dispatch follows the Frobenius-case split of the underlying group:
   full_torsion     cups vanish exactly on proportional pairs; for l = 3 a
                    nonzero proportional triple with nonzero torsion
                    restriction reduces to a single character chi, which
-                   fails to lift exactly when some order-9 torsion vector in
-                   ker(chi) is moved off its line by Frobenius
+                   fails to lift exactly when Frobenius xi moves an order-9
+                   torsion vector a of ker(chi) off its line, that is when
+                   det(a, xi a) is nonzero mod 9
 
 Every NonVanishing verdict carries a concrete witness (the moved vector, or
 the nonzero condition residues).
+
+Every matrix that the kernel-line questions (the l = 3 full-torsion verdict,
+both Theorem 5.2 conditions) meet is I mod 3, so each is decided on one
+vector, the lexicographically first order-9 vector a of ker(chi):
+
+  (1) For a of order 9, w is in (Z/9)a iff det(a, w) = 0 mod 9 (a is part of
+      a basis). For sigma = I + 3M, det(a, sigma a) = 3 det(a, Ma) depends
+      only on a mod 3, which is +-a0 on ker(chi): sigma moves every order-9
+      vector of ker(chi) off its line, or none.
+  (2) For iota = I mod 3, (iota - 4)b = 3Nb depends only on b mod 3, so the
+      b outside ker(chi) reduce to six residues, and by (1) (iota - 4)b
+      meets one kernel line iff it meets them all.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .galois import (
     check_group,
     mat_apply,
     mat_det,
+    mat_sub,
     proportional,
 )
 
@@ -141,17 +155,16 @@ def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
 
 
 def _moved_kernel_vector(g: GbarGroup, torsion_values):
-    """First order-9 vector a with chi(a) = 0 whose Frobenius image leaves
-    the cyclic submodule (Z/9)a; None if every such line is preserved."""
-    for a in _kernel_vectors(torsion_values):
-        image = mat_apply(g.xi, a, 9)
-        if not _in_cyclic_span(image, a, 9):
-            return a, image
-    return None
+    """(a, xi a) for the first order-9 vector a with chi(a) = 0 if Frobenius
+    moves it off its line (then it moves every such vector, lemma (1))."""
+    a = _first_kernel_vector(torsion_values)
+    image = mat_apply(g.xi, a, 9)
+    return None if _in_cyclic_span(image, a) else (a, image)
 
 
-def _in_cyclic_span(w, v, n: int) -> bool:
-    return any(((lam * v[0]) % n, (lam * v[1]) % n) == w for lam in range(n))
+def _in_cyclic_span(w, v) -> bool:
+    """w in (Z/9)v, for v of order 9: the determinant of (v, w) is 0 mod 9."""
+    return mat_det((v, w), 9) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +204,14 @@ def bockstein_vanishes(chi: Character, g: GbarGroup) -> bool:
 # ---------------------------------------------------------------------------
 # abstract checkers (l = 3, level 9)
 
-def _kernel_vectors(chi_torsion):
-    """Order-9 vectors killed by the torsion restriction, lexicographically."""
+def _first_kernel_vector(chi_torsion):
+    """Lexicographically first order-9 vector (i, j) of (Z/9)^2 killed by the
+    nonzero torsion restriction (x1, x2): (0, 1) if x2 = 0 mod 3; else no
+    (0, j) of order 9 is killed, and the first is (1, -x1/x2) = (1, -x1*x2)."""
     x1, x2 = chi_torsion
-    out = []
-    for i in range(9):
-        for j in range(9):
-            if i % 3 == 0 and j % 3 == 0:
-                continue
-            if (x1 * i + x2 * j) % 3 == 0:
-                out.append((i, j))
-    return out
+    if x2 % 3 == 0:
+        return (0, 1)
+    return (1, (-x1 * x2) % 3)
 
 
 def thm52_check(data: AbstractGaloisData) -> MasseyVerdict:
@@ -217,18 +227,16 @@ def thm52_check(data: AbstractGaloisData) -> MasseyVerdict:
     """
     if data.chi_on_torsion == (0, 0):
         return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "zero-torsion-restriction")
-    kv = _kernel_vectors(data.chi_on_torsion)
-    closure_sorted = sorted(data.closure)
-    for a in kv:
-        for mat, _ in closure_sorted:
-            image = mat_apply(mat, a, 9)
-            if not _in_cyclic_span(image, a, 9):
-                return MasseyVerdict(
-                    VerdictStatus.NON_VANISHING,
-                    "kernel-vector-moved-off-line",
-                    {"a": list(a), "sigma": [list(r) for r in mat], "image": list(image)},
-                )
-    reason = _thm52_condition2(data, kv)
+    a = _first_kernel_vector(data.chi_on_torsion)
+    for mat, _ in sorted(data.closure):
+        image = mat_apply(mat, a, 9)
+        if not _in_cyclic_span(image, a):
+            return MasseyVerdict(
+                VerdictStatus.NON_VANISHING,
+                "kernel-vector-moved-off-line",
+                {"a": list(a), "sigma": [list(r) for r in mat], "image": list(image)},
+            )
+    reason = _thm52_condition2(data, a)
     if reason is None:
         return MasseyVerdict(
             VerdictStatus.NON_VANISHING,
@@ -238,8 +246,9 @@ def thm52_check(data: AbstractGaloisData) -> MasseyVerdict:
     return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, reason)
 
 
-def _thm52_condition2(data: AbstractGaloisData, kernel_vectors) -> str | None:
-    """None if the rigid-cubic condition holds; else the failing sub-check."""
+def _thm52_condition2(data: AbstractGaloisData, a) -> str | None:
+    """None if the rigid-cubic condition holds; else the failing sub-check.
+    The b outside the torsion kernel are their six residues mod 3 (lemma (2))."""
     if data.has_ninth_root:
         return "ninth-root-in-base"
     if all(c == 0 for _, c in data.closure):
@@ -247,19 +256,13 @@ def _thm52_condition2(data: AbstractGaloisData, kernel_vectors) -> str | None:
     kernel_mats = data.kernel_matrices()
     if all(mat_det(m, 9) == 1 for m in kernel_mats):
         return "kernel-fixes-ninth-roots"
-    iotas = sorted(m for m in kernel_mats if mat_det(m, 9) == 4)
     x1, x2 = data.chi_on_torsion
-    outside = [
-        (i, j) for i in range(9) for j in range(9) if (x1 * i + x2 * j) % 3 != 0
-    ]
-    for iota in iotas:
-        shifted = ((iota[0][0] - 4) % 9, iota[0][1], iota[1][0], (iota[1][1] - 4) % 9)
-        mat = ((shifted[0], shifted[1]), (shifted[2], shifted[3]))
-        for b in outside:
-            w = mat_apply(mat, b, 9)
-            for a in kernel_vectors:
-                if _in_cyclic_span(w, a, 9):
-                    return "shifted-image-meets-kernel-line"
+    outside = [(i, j) for i in range(3) for j in range(3) if (x1 * i + x2 * j) % 3]
+    for iota in kernel_mats:
+        if mat_det(iota, 9) == 4:
+            shifted = mat_sub(iota, ((4, 0), (0, 4)), 9)
+            if any(_in_cyclic_span(mat_apply(shifted, b, 9), a) for b in outside):
+                return "shifted-image-meets-kernel-line"
     return None
 
 

@@ -152,10 +152,6 @@ class U4Matrix:
     def is_identity(self) -> bool:
         return self.entries == U4_ID
 
-    def is_central(self) -> bool:
-        a1, a2, a3, u, v, w = self.entries
-        return (a1, a2, a3, u, w) == (0, 0, 0, 0, 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, U4Matrix)

@@ -222,6 +222,25 @@ def test_analyze_no_fixed_points_reports_matrix_when_affordable(capsys):
     assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
 
 
+def test_analyze_no_fixed_points_past_the_degree_cap_reports_null(capsys, monkeypatch):
+    # psi_7's factors over GF(5) have lcm 24, and 2 * 24 exceeds
+    # NO_FIXED_POINTS_REPORT_DEGREE_CAP: both matrices are null, and no
+    # torsion basis is built
+    def no_basis(curve, n):
+        raise AssertionError("torsion_basis called past the report cap")
+
+    monkeypatch.setattr(cli.ec, "torsion_basis", no_basis)
+    code, data = run_json(
+        capsys, "analyze", "--p", "5", "--a", "1", "--b", "0", "--ell", "7",
+        "--triples", "same-char",
+    )
+    assert code == 0
+    assert data["case"] == "no_fixed_points"
+    assert data["frobenius_matrix_l"] is None
+    assert data["frobenius_matrix_lprime"] is None
+    assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
+
+
 def test_analyze_no_fixed_points_over_a_large_prime(capsys):
     # E[3] lies over GF(p^4) with p = 1000003 = 3 (mod 4): the field's scan
     # rules out the 10^6 binomials X^4 + c at once

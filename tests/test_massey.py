@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -466,3 +467,156 @@ def test_thm52_agrees_with_oracle_on_matching_group():
             verdict = thm52_check(d)
             engine = triple_verdict(chi, chi, chi, g)
             assert verdict.status is engine.status
+
+
+# ---------------------------------------------------------------------------
+# kernel-line searches: the enumerations the determinant tests replaced
+
+def _reference_kernel_vectors(chi_torsion):
+    """Order-9 vectors killed by the torsion restriction, lexicographically."""
+    x1, x2 = chi_torsion
+    out = []
+    for i in range(9):
+        for j in range(9):
+            if i % 3 == 0 and j % 3 == 0:
+                continue
+            if (x1 * i + x2 * j) % 3 == 0:
+                out.append((i, j))
+    return out
+
+
+def _reference_in_cyclic_span(w, v):
+    return any(((lam * v[0]) % 9, (lam * v[1]) % 9) == tuple(w) for lam in range(9))
+
+
+def _reference_moved_kernel_vector(xi, torsion_values):
+    for a in _reference_kernel_vectors(torsion_values):
+        image = galois.mat_apply(xi, a, 9)
+        if not _reference_in_cyclic_span(image, a):
+            return a, image
+    return None
+
+
+def _reference_condition2(data, kernel_vectors):
+    if data.has_ninth_root:
+        return "ninth-root-in-base"
+    if all(c == 0 for _, c in data.closure):
+        return "character-trivial-on-galois-side"
+    kernel_mats = data.kernel_matrices()
+    if all(galois.mat_det(m, 9) == 1 for m in kernel_mats):
+        return "kernel-fixes-ninth-roots"
+    iotas = sorted(m for m in kernel_mats if galois.mat_det(m, 9) == 4)
+    x1, x2 = data.chi_on_torsion
+    outside = [
+        (i, j) for i in range(9) for j in range(9) if (x1 * i + x2 * j) % 3 != 0
+    ]
+    for iota in iotas:
+        shifted = ((iota[0][0] - 4) % 9, iota[0][1], iota[1][0], (iota[1][1] - 4) % 9)
+        mat = ((shifted[0], shifted[1]), (shifted[2], shifted[3]))
+        for b in outside:
+            w = galois.mat_apply(mat, b, 9)
+            for a in kernel_vectors:
+                if _reference_in_cyclic_span(w, a):
+                    return "shifted-image-meets-kernel-line"
+    return None
+
+
+def _reference_thm52(data):
+    if data.chi_on_torsion == (0, 0):
+        return {"status": "ContainsZero", "reason": "zero-torsion-restriction", "witness": None}
+    kv = _reference_kernel_vectors(data.chi_on_torsion)
+    closure_sorted = sorted(data.closure)
+    for a in kv:
+        for mat, _ in closure_sorted:
+            image = galois.mat_apply(mat, a, 9)
+            if not _reference_in_cyclic_span(image, a):
+                return {
+                    "status": "NonVanishing",
+                    "reason": "kernel-vector-moved-off-line",
+                    "witness": {"a": list(a), "sigma": [list(r) for r in mat], "image": list(image)},
+                }
+    reason = _reference_condition2(data, kv)
+    if reason is None:
+        dets = sorted({galois.mat_det(m, 9) for m in data.kernel_matrices()})
+        return {"status": "NonVanishing", "reason": "rigid-cubic-kernel", "witness": {"kernel_dets": dets}}
+    return {"status": "ContainsZero", "reason": reason, "witness": None}
+
+
+# every matrix congruent to the identity mod 3, and every nonzero chi-bar
+CONGRUENT_TO_I = [
+    ((1 + 3 * m[0], 3 * m[1]), (3 * m[2], 1 + 3 * m[3]))
+    for m in itertools.product(range(3), repeat=4)
+]
+NONZERO_CHI_BAR = [t for t in itertools.product(range(3), repeat=2) if t != (0, 0)]
+
+
+def test_moved_kernel_vector_matches_search_exhaustively():
+    moved = kept = 0
+    for xi in CONGRUENT_TO_I:
+        for chi_bar in NONZERO_CHI_BAR:
+            want = _reference_moved_kernel_vector(xi, chi_bar)
+            assert massey._moved_kernel_vector(SimpleNamespace(xi=xi), chi_bar) == want, (xi, chi_bar)
+            moved += want is not None
+            kept += want is None
+    assert moved and kept
+
+
+def test_first_kernel_vector_is_the_search_order_head():
+    for chi_bar in NONZERO_CHI_BAR:
+        assert massey._first_kernel_vector(chi_bar) == _reference_kernel_vectors(chi_bar)[0]
+
+
+def test_cyclic_span_determinant_matches_scalar_search():
+    order9 = [v for v in itertools.product(range(9), repeat=2) if v[0] % 3 or v[1] % 3]
+    assert len(order9) == 72
+    for v in order9:
+        for w in itertools.product(range(9), repeat=2):
+            assert massey._in_cyclic_span(w, v) == _reference_in_cyclic_span(w, v), (v, w)
+
+
+def test_condition2_matches_search_on_every_iota_and_chi_bar():
+    # generators (iota, I) with chi = (0, 1): the chi-kernel is <iota>,
+    # whose only element of det 4 is iota itself (the group has exponent 3)
+    iotas = [m for m in CONGRUENT_TO_I if galois.mat_det(m, 9) == 4]
+    assert len(iotas) == 27
+    seen = set()
+    for iota in iotas:
+        for chi_bar in NONZERO_CHI_BAR:
+            d = load_abstract(_payload([[list(r) for r in iota], [[1, 0], [0, 1]]], chis=[0, 1], torsion=chi_bar))
+            a = massey._first_kernel_vector(chi_bar)
+            want = _reference_condition2(d, _reference_kernel_vectors(chi_bar))
+            assert massey._thm52_condition2(d, a) == want, (iota, chi_bar)
+            seen.add(want)
+    assert seen == {None, "shifted-image-meets-kernel-line"}
+
+
+def _random_payload(rng):
+    """A valid abstract payload: generators = I (mod 3), mostly sparse."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        m = [rng.choice((0, 0, 0, 1, 2)) for _ in range(4)]
+        gens.append([[1 + 3 * m[0], 3 * m[1]], [3 * m[2], 1 + 3 * m[3]]])
+    chis = [rng.randrange(3) for _ in gens]
+    closure = galois._augmented_closure([tuple(map(tuple, g)) for g in gens], chis)
+    ninth = all(galois.mat_det(g, 9) == 1 for g, _ in closure)
+    torsion = (rng.randrange(3), rng.randrange(3))
+    return _payload(gens, chis=chis, torsion=torsion, ninth=ninth, cubic=rng.random() < 0.5)
+
+
+def test_thm52_matches_search_on_random_payloads():
+    rng = random.Random(52)
+    reasons = {}
+    for _ in range(1500):
+        d = load_abstract(_random_payload(rng))
+        want = _reference_thm52(d)
+        assert thm52_check(d).to_json() == want
+        reasons[want["reason"]] = reasons.get(want["reason"], 0) + 1
+    assert set(reasons) == {
+        "zero-torsion-restriction",
+        "kernel-vector-moved-off-line",
+        "rigid-cubic-kernel",
+        "ninth-root-in-base",
+        "character-trivial-on-galois-side",
+        "kernel-fixes-ninth-roots",
+        "shifted-image-meets-kernel-line",
+    }, reasons

@@ -53,3 +53,16 @@ def test_oracle_is_independent_of_the_closed_forms():
             elif "unitri" in names:
                 bad.append(f"unitri from {node.module}")
     assert bad == []
+
+
+def test_closed_forms_are_independent_of_the_oracle():
+    """massey imports nothing from oracle, the converse of the test above."""
+    path = Path(ellmassey.__file__).parent / "massey.py"
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names if a.name.split(".")[-1] == "oracle"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "oracle" or "oracle" in {a.name for a in node.names}:
+                bad.append(f"oracle from {node.module or '.'}")
+    assert bad == []
