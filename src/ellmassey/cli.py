@@ -30,7 +30,7 @@ import random
 import sys
 import time
 
-from . import ec, ff, galois, massey, oracle
+from . import ec, ff, galois, massey
 from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, SearchExhausted
 from .ff import DEFAULT_SEED
 
@@ -295,6 +295,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # imported here: no other command runs it
+
     t0 = time.monotonic()
     mode, count = _parse_mode(
         args.mode, "--mode", ("exhaustive", "sample"), "--mode must be exhaustive or sample [N]"

@@ -13,16 +13,17 @@ Frobenius action mod l:
                    (phi^{l'} - 1)E[l'] is everything since that map is
                    invertible here)
 
-The group is stored in normal form: an element is (torsion vector, phi
-exponent) with (t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2). The relation
-set derived here is the single source of truth consumed by both the
-character enumeration and the lifting oracle.
+Every element has the normal form (torsion vector, phi exponent), with
+(t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2); a group keeps its torsion
+orders and xi, not its elements. The relation set derived here is the
+single source of truth consumed by both the character enumeration and the
+lifting oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import ec
@@ -117,21 +118,21 @@ def classify_case(action: ec.TorsionAction) -> GaloisCase:
 # presentations
 
 Word = tuple  # of (generator index, exponent) pairs
+Relation = namedtuple("Relation", "lhs rhs")  # two Words
 
 
-@dataclass(frozen=True)
-class Relation:
-    lhs: Word
-    rhs: Word
-
-
-@dataclass(frozen=True)
 class Presentation:
-    """Generators and defining relations, oracle-ready."""
+    """Generators and defining relations, oracle-ready.
 
-    ell: int
-    gen_names: tuple[str, ...]
-    relations: tuple[Relation, ...]
+    Compared and hashed by identity: a group builds each presentation once.
+    """
+
+    __slots__ = ("ell", "gen_names", "relations")
+
+    def __init__(self, ell: int, gen_names: tuple[str, ...], relations: tuple[Relation, ...]):
+        self.ell = ell
+        self.gen_names = gen_names
+        self.relations = relations
 
 
 def _build_relations(n_torsion: int, orders, xi, lprime, has_phi: bool):
@@ -185,7 +186,6 @@ class GbarGroup:
         self._characters = None
         self._presentation = None
         self._torsion_presentation = None
-        self._xi_powers = None
 
     @property
     def rank(self) -> int:
@@ -223,57 +223,6 @@ class GbarGroup:
         if self._characters is None:
             self._characters = enumerate_characters(self)
         return self._characters
-
-    # normal-form element arithmetic (torsion vector, phi exponent)
-
-    def nf_identity(self):
-        return ((0,) * self.rank, 0)
-
-    def nf_generator(self, idx: int):
-        if idx == self.rank:
-            return ((0,) * self.rank, 1)
-        t = [0] * self.rank
-        t[idx] = 1
-        return (tuple(t), 0)
-
-    def _xi_power(self, e: int):
-        # rank-2 only; phi has order l' and xi^{l'} is the identity on Tbar
-        if self._xi_powers is None:
-            lp = self.ell_prime
-            table = [mat_id()]
-            for _ in range(lp - 1):
-                table.append(mat_mul(table[-1], self.xi, lp))
-            self._xi_powers = table
-        return self._xi_powers[e % self.ell_prime]
-
-    def nf_mul(self, x, y):
-        (t1, e1), (t2, e2) = x, y
-        rank, lp = self.rank, self.ell_prime
-        if rank == 0:
-            return ((), (e1 + e2) % lp)
-        if rank == 1:
-            s = pow(self.xi[0][0], e1 % lp, lp)
-            return (((t1[0] + s * t2[0]) % self.torsion_orders[0],), (e1 + e2) % lp)
-        moved = mat_apply(self._xi_power(e1), t2, lp)
-        t = tuple((a + b) % o for a, b, o in zip(t1, moved, self.torsion_orders))
-        return (t, (e1 + e2) % lp)
-
-    def nf_inv(self, x):
-        t, e = x
-        rank, lp = self.rank, self.ell_prime
-        inv_e = (-e) % lp
-        if rank == 0:
-            return ((), inv_e)
-        if rank == 1:
-            s = pow(self.xi[0][0], inv_e, lp)
-            return (((-s * t[0]) % self.torsion_orders[0],), inv_e)
-        moved = mat_apply(self._xi_power(inv_e), t, lp)
-        return (tuple((-a) % o for a, o in zip(moved, self.torsion_orders)), inv_e)
-
-    def nf_elements(self):
-        ranges = [range(o) for o in self.torsion_orders] + [range(self.ell_prime)]
-        for tup in itertools.product(*ranges):
-            yield (tup[:-1], tup[-1])
 
     def __repr__(self):
         return f"GbarGroup(ell={self.ell}, case={self.case.value}, order={self.order})"

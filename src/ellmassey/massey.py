@@ -34,8 +34,9 @@ vector, the lexicographically first order-9 vector a of ker(chi):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from functools import cache
 
 from .errors import WrongPrime
 from .galois import (
@@ -58,11 +59,8 @@ class VerdictStatus(Enum):
     NON_VANISHING = "NonVanishing"
 
 
-@dataclass(frozen=True)
-class MasseyVerdict:
-    status: VerdictStatus
-    reason: str
-    witness: dict | None = None
+class MasseyVerdict(namedtuple("MasseyVerdict", "status reason witness", defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"status": self.status.value, "reason": self.reason, "witness": self.witness}
@@ -123,6 +121,13 @@ def _unipotent_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
     t = (f2 * x3 - f3 * x2) % ell
     res1 = (t * x1 - r * x3) % ell
     res2 = (t * f1 - r * f3 - c * x1 * x2 * x3) % ell
+    return _unipotent_outcome(res1, res2, c)
+
+
+@cache
+def _unipotent_outcome(res1: int, res2: int, c: int) -> MasseyVerdict:
+    """The verdict for the two condition residues; built once per key, so
+    verdicts with equal residues share one witness (read, never mutated)."""
     witness = {"condition1_residue": res1, "condition2_residue": res2, "c": c}
     if res1 == 0 and res2 == 0:
         return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "unipotent-conditions-hold", witness)

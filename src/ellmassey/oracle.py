@@ -37,6 +37,13 @@ to 0, so witnesses are reproducible; each is re-verified against every
 relation before it is returned. The probing solve that reads the system
 afresh for every question, and the literal brute forces, cross-check these
 solves from the tests.
+
+The questions on characters of a group are ``oracle_cup``,
+``oracle_nonempty``, ``oracle_contains_zero`` and ``oracle_lift_witness``.
+``find_full_lift`` and ``center_lift_exists`` ask the contains-zero and
+nonempty questions of any presentation and pinned superdiagonals (such as
+the torsion subgroup's, which no character of the group reaches);
+``lift_is_sound`` re-verifies a witness.
 """
 
 from __future__ import annotations
@@ -255,13 +262,9 @@ def _lift_system(pres: Presentation) -> _LiftSystem:
     return _LiftSystem(pres)
 
 
-def _reduced(l, values):
-    return tuple(v % l for v in values)
-
-
 def _columns(l, superdiags):
     """The (a1, a2, a3) rows of per-generator superdiagonals as three vectors."""
-    return tuple(_reduced(l, col) for col in zip(*superdiags))
+    return tuple(tuple(v % l for v in col) for col in zip(*superdiags))
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +304,6 @@ def lift_is_sound(pres: Presentation, superdiags, witness) -> bool:
         if img[:3] != tuple(v % l for v in pinned):
             return False
     return all(_residual_u4(l, images, rel) == U4_ID for rel in pres.relations)
-
-
-# ---------------------------------------------------------------------------
-# U3 lifts
-
-def cup_lift_exists(pres: Presentation, diag1, diag2) -> bool:
-    """True iff some corner assignment makes the U3-valued map a homomorphism.
-
-    The U3 image (a, b, c) is solved as the U4 image (a, b, 0, c, 0, 0): with
-    a3 = 0 the u entry of U4 products and inverses is exactly the U3 corner.
-    """
-    l = pres.ell
-    return _lift_system(pres).cup(_reduced(l, diag1), _reduced(l, diag2))
 
 
 # ---------------------------------------------------------------------------

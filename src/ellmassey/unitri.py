@@ -7,9 +7,10 @@ A U4 element is stored by its six free entries (a1, a2, a3, u, v, w):
     [0 0  1  a3]
     [0 0  0  1 ]
 
-Products, inverses and generic powers come from the ordinary 4x4 matrix
-product written out in these coordinates (tests check against literal
-matrix multiplication). The closed forms for the l-th power and for
+and a U3 element by its three, (a, b, c) for [[1, a, c], [0, 1, b], [0, 0, 1]].
+Products, inverses and generic powers come from the ordinary matrix product
+written out in these coordinates (tests check against literal matrix
+multiplication). The closed forms for the l-th power and for
 commutators exist alongside as an independent route; for l > 3 they give
 the exponent-l law, while U4(Z/3) has elements of order 9, exactly those
 with a1*a2*a3 nonzero.
@@ -189,51 +190,6 @@ def mod_center(m: U4Matrix) -> U4Matrix:
     """Canonical coset representative modulo the center (v pinned to 0)."""
     a1, a2, a3, u, _, w = m.entries
     return U4Matrix(m.l, a1, a2, a3, u, 0, w)
-
-
-class U3Matrix:
-    """Element of U3(Z/l): top (1,2), right (2,3), corner (1,3) entries."""
-
-    __slots__ = ("l", "entries")
-
-    def __init__(self, l: int, top: int, right: int, corner: int):
-        self.l = l
-        self.entries = (top % l, right % l, corner % l)
-
-    @classmethod
-    def from_raw(cls, l: int, raw) -> "U3Matrix":
-        return cls(l, *raw)
-
-    def __mul__(self, other: "U3Matrix") -> "U3Matrix":
-        if self.l != other.l:
-            raise ModulusMismatch(f"moduli differ: {self.l} vs {other.l}")
-        return U3Matrix.from_raw(self.l, u3_mul_raw(self.l, self.entries, other.entries))
-
-    def inverse(self) -> "U3Matrix":
-        return U3Matrix.from_raw(self.l, u3_inv_raw(self.l, self.entries))
-
-    def __pow__(self, e: int) -> "U3Matrix":
-        return U3Matrix.from_raw(self.l, u3_pow_raw(self.l, self.entries, e))
-
-    def matrix(self) -> list[list[int]]:
-        a, b, c = self.entries
-        return [[1, a, c], [0, 1, b], [0, 0, 1]]
-
-    def is_identity(self) -> bool:
-        return self.entries == U3_ID
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, U3Matrix)
-            and self.l == other.l
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.l, self.entries))
-
-    def __repr__(self):
-        return f"U3Matrix(l={self.l}, {self.entries})"
 
 
 class HMatrix:

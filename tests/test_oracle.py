@@ -10,7 +10,6 @@ from ellmassey import oracle, unitri
 from ellmassey.errors import GroupMismatch, InternalError, UnsoundLift
 from ellmassey.oracle import (
     center_lift_exists,
-    cup_lift_exists,
     find_full_lift,
     lift_is_sound,
     oracle_contains_zero,
@@ -173,7 +172,6 @@ def test_compiled_system_matches_probing_reference(key):
         assert oracle_nonempty(c1, c2, c3, g) == nonempty
         cup_diags = [(a, b, 0) for a, b in zip(c1.values, c2.values)]
         cup = _reference_lift(pres, cup_diags, _CUP_SLOTS) is not None
-        assert cup_lift_exists(pres, c1.values, c2.values) == cup
         assert oracle_cup(c1, c2, g) == cup
 
 
@@ -308,9 +306,7 @@ def test_cup_lift_matches_corner_scan_l3(case):
     g = fixtures.group(3, case)
     pres = g.presentation()
     for c1, c2 in itertools.product(g.characters(), repeat=2):
-        assert cup_lift_exists(pres, c1.values, c2.values) == _cup_lift_bruteforce(
-            pres, c1.values, c2.values
-        )
+        assert oracle_cup(c1, c2, g) == _cup_lift_bruteforce(pres, c1.values, c2.values)
 
 
 def test_unsound_witness_raises_even_under_optimization(monkeypatch):
@@ -383,12 +379,3 @@ def test_group_mismatch_rejected():
     with pytest.raises(GroupMismatch):
         oracle_nonempty(chi1, chi1, chi2, g1)
 
-
-def test_cup_lift_exists_low_level_matches_character_api():
-    g = fixtures.group(7, "split_line")
-    chars = g.characters()
-    pres = g.presentation()
-    rng = random.Random(37)
-    for _ in range(100):
-        c1, c2 = rng.choice(chars), rng.choice(chars)
-        assert oracle_cup(c1, c2, g) == cup_lift_exists(pres, c1.values, c2.values)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ellmassey
@@ -15,6 +18,20 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_import_loads_only_shared_modules():
+    """A cold command loads no code that only some commands run: the oracle
+    (and unitri through it) is imported by verify alone, and no module pulls
+    in dataclasses."""
+    unwanted = ["dataclasses", "ellmassey.oracle", "ellmassey.unitri"]
+    src = str(Path(ellmassey.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = f"import sys, ellmassey.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_traced_benchmark_names_resolve():

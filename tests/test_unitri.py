@@ -7,7 +7,7 @@ import pytest
 
 from ellmassey import unitri
 from ellmassey.errors import ModulusMismatch
-from ellmassey.unitri import HMatrix, U3Matrix, U4Matrix, u4_identity
+from ellmassey.unitri import HMatrix, U4Matrix, u3_inv_raw, u3_mul_raw, u3_pow_raw, u4_identity
 
 
 def matmul4(l, A, B):
@@ -169,15 +169,29 @@ def test_exponent_law_ell_prime(l):
         assert (m**lp).is_identity()
 
 
+def u3_matrix(m):
+    a, b, c = m
+    return [[1, a, c], [0, 1, b], [0, 0, 1]]
+
+
 @pytest.mark.parametrize("l", [3, 5, 7])
 def test_u3_mul_matches_matrix_product(l):
+    """The raw U3 product, inverse and powers against literal 3x3 matrices."""
+    identity = u3_matrix((0, 0, 0))
     rng = random.Random(l * 19)
     for _ in range(400):
-        m = U3Matrix(l, rng.randrange(l), rng.randrange(l), rng.randrange(l))
-        n = U3Matrix(l, rng.randrange(l), rng.randrange(l), rng.randrange(l))
-        assert (m * n).matrix() == matmul3(l, m.matrix(), n.matrix())
-        assert (m * m.inverse()).is_identity()
-        assert (m**l).is_identity()
+        m = (rng.randrange(l), rng.randrange(l), rng.randrange(l))
+        n = (rng.randrange(l), rng.randrange(l), rng.randrange(l))
+        M, inv = u3_matrix(m), u3_inv_raw(l, m)
+        assert u3_matrix(u3_mul_raw(l, m, n)) == matmul3(l, M, u3_matrix(n))
+        assert matmul3(l, M, u3_matrix(inv)) == identity
+        power, inv_power = identity, identity
+        for e in range(l + 1):
+            assert u3_matrix(u3_pow_raw(l, m, e)) == power
+            assert u3_matrix(u3_pow_raw(l, m, -e)) == inv_power
+            power = matmul3(l, power, M)
+            inv_power = matmul3(l, inv_power, u3_matrix(inv))
+        assert u3_pow_raw(l, m, l) == (0, 0, 0)
 
 
 def test_h_closed_under_multiplication():
