@@ -28,8 +28,7 @@ print("discriminant:", E.disc, " j-invariant:", E.j)
 N = ec.count_points(E)
 print("#E(F_7) =", N, " trace:", 7 + 1 - N)
 
-ctx = E.ext()
-P = ctx.point(0, 3)
+P = E.point(0, 3)
 print("P =", P, " 2P =", ec.scalar_mul(2, P), " 3P =", ec.scalar_mul(3, P))
 
 # The one-parameter family with prescribed j-invariant.

@@ -215,12 +215,14 @@ def _report_matrices(curve, group):
 
     The degenerate case has no torsion part; its level-l matrix is computed
     directly when the torsion field is small enough, else reported as null.
+    The cap is on the degree over GF(p), not over the curve's base field, of
+    the field the report would build: at most twice that of the x-coordinates.
     """
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
         normalized = group.context["normalized_action"]
         return normalized.reduce(group.ell), normalized
     _, factors = ec._torsion_field_degree(curve, group.ell)
-    if 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
+    if curve.base.k * 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None
     basis = ec.torsion_basis(curve, group.ell)
     action = ec.frobenius_matrix(basis)

@@ -36,7 +36,8 @@ TORSION_LEVELS = (3, 5, 7, 9)
 
 
 class Curve:
-    """y^2 = x^3 + ax + b over its field of definition."""
+    """y^2 = x^3 + ax + b over the field ``base``, where its points live;
+    ``over`` gives the base change to an extension."""
 
     __slots__ = ("base", "a", "b", "disc", "j")
 
@@ -54,15 +55,23 @@ class Curve:
         self.disc = disc
         self.j = (a * a * a * 4 * 1728) / disc
 
-    def over(self, field: ExtField) -> "CurveExt":
-        """The same curve viewed over an extension of its base field."""
-        if field == self.base:
-            return CurveExt(self, field, self.a, self.b)
+    def over(self, field: ExtField) -> "Curve":
+        """The base change of the curve to an extension of its base field."""
         emb = ff.embed_field(self.base, field)
-        return CurveExt(self, field, emb(self.a), emb(self.b))
+        return Curve(field, emb(self.a), emb(self.b))
 
-    def ext(self) -> "CurveExt":
-        return CurveExt(self, self.base, self.a, self.b)
+    def infinity(self) -> "CurvePoint":
+        return CurvePoint(self, None, None)
+
+    def point(self, x, y) -> "CurvePoint":
+        x = self.base.element(x)
+        y = self.base.element(y)
+        if y * y != self.rhs(x):
+            raise FieldMismatch("point does not satisfy the curve equation")
+        return CurvePoint(self, x, y)
+
+    def rhs(self, x: FieldElement) -> FieldElement:
+        return x * x * x + self.a * x + self.b
 
     def __eq__(self, other):
         return (
@@ -79,47 +88,12 @@ class Curve:
         return f"Curve(GF({self.base.p}^{self.base.k}), a={self.a!r}, b={self.b!r})"
 
 
-class CurveExt:
-    """A curve together with the field its points currently live in."""
-
-    __slots__ = ("curve", "field", "a", "b")
-
-    def __init__(self, curve: Curve, field: ExtField, a: FieldElement, b: FieldElement):
-        self.curve = curve
-        self.field = field
-        self.a = a
-        self.b = b
-
-    def infinity(self) -> "CurvePoint":
-        return CurvePoint(self, None, None)
-
-    def point(self, x, y) -> "CurvePoint":
-        x = self.field.element(x)
-        y = self.field.element(y)
-        if y * y != x * x * x + self.a * x + self.b:
-            raise FieldMismatch("point does not satisfy the curve equation")
-        return CurvePoint(self, x, y)
-
-    def rhs(self, x: FieldElement) -> FieldElement:
-        return x * x * x + self.a * x + self.b
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CurveExt)
-            and self.curve == other.curve
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.curve, self.field))
-
-
 class CurvePoint:
-    """Affine point or the point at infinity; immutable."""
+    """Affine point or the point at infinity of the curve ``ctx``; immutable."""
 
     __slots__ = ("ctx", "x", "y")
 
-    def __init__(self, ctx: CurveExt, x, y):
+    def __init__(self, ctx: Curve, x, y):
         self.ctx = ctx
         self.x = x
         self.y = y
@@ -196,7 +170,8 @@ class TorsionAction:
             raise NotInSpan("torsion action matrix is not invertible")
 
     def det(self) -> int:
-        return _det2(self.entries, self.n)
+        (a, b), (c, d) = self.entries
+        return (a * d - b * c) % self.n
 
     def reduce(self, m: int) -> "TorsionAction":
         if self.n % m != 0:
@@ -214,16 +189,12 @@ class TorsionAction:
         return f"TorsionAction(n={self.n}, {self.entries})"
 
 
-def _det2(entries, n):
-    return (entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]) % n
-
-
 # ---------------------------------------------------------------------------
 # construction and group law
 
 def curve_new(base: ExtField, a, b) -> Curve:
     """Validated curve y^2 = x^3 + ax + b; stores discriminant and j-invariant."""
-    return Curve(base, base.element(a), base.element(b))
+    return Curve(base, a, b)
 
 
 def igusa_curve(base: ExtField, t0: int) -> Curve:
@@ -402,9 +373,7 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     if curve.base.k * k > ff.MAX_EXT_DEGREE:
         raise ExtensionCapExceeded(f"torsion field degree {curve.base.k * k} exceeds cap")
     big = ff.make_field(curve.base.p, curve.base.k * k)
-    emb = ff.embed_field(curve.base, big) if big != curve.base else None
-    ctx = curve.over(big)
-    points = _all_torsion_points(ctx, factors, emb)
+    points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
     if len(points) != n * n - 1:
         raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
     points.sort(key=lambda T: T.key())
@@ -439,20 +408,16 @@ def _torsion_field_degree(curve: Curve, n: int):
     return (2 * k1 if need_double else k1), factors
 
 
-def _all_torsion_points(ctx: CurveExt, factors, emb) -> list[CurvePoint]:
-    big = ctx.field
+def _all_torsion_points(E: Curve, factors, emb) -> list[CurvePoint]:
     out = []
     for _, g in factors:
-        if emb is None:
-            coeffs = [FieldElement(big, c) for c in g]
-        else:
-            coeffs = [FieldElement(big, emb.raw(c)) for c in g]
-        for x0 in ff.roots_in_field(coeffs, big):
-            y = ff.sqrt_in_field(ctx.rhs(x0))
+        coeffs = [FieldElement(E.base, emb.raw(c)) for c in g]
+        for x0 in ff.roots_in_field(coeffs, E.base):
+            y = ff.sqrt_in_field(E.rhs(x0))
             if y is None or y.is_zero():
                 raise InternalError(f"torsion x-coordinate {x0!r} has no nonzero y in the torsion field")
-            out.append(CurvePoint(ctx, x0, y))
-            out.append(CurvePoint(ctx, x0, -y))
+            out.append(CurvePoint(E, x0, y))
+            out.append(CurvePoint(E, x0, -y))
     return out
 
 
@@ -476,7 +441,7 @@ def frobenius_endo(P: CurvePoint, q: int) -> CurvePoint:
     """Coordinate-wise q-power Frobenius (q = order of the field of definition)."""
     if P.is_infinity:
         return P
-    F = P.ctx.field
+    F = P.ctx.base
     return CurvePoint(
         P.ctx,
         FieldElement(F, F.rpow(P.x.coeffs, q)),
@@ -491,7 +456,8 @@ def frobenius_matrix(basis: TorsionBasis) -> TorsionAction:
     coordinate table and returns ((a, c), (b, d)).
     """
     n = basis.n
-    q = basis.P.ctx.curve.base.order
+    big = basis.P.ctx.base
+    q = big.p ** (big.k // basis.k)
     try:
         col_p = basis.table[frobenius_endo(basis.P, q).key()]
         col_q = basis.table[frobenius_endo(basis.Q, q).key()]
@@ -516,15 +482,15 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int) -> FieldElement:
     """
     if P.ctx != Q.ctx:
         raise FieldMismatch("pairing arguments on different curves or fields")
-    ctx = P.ctx
-    F = ctx.field
+    E = P.ctx
+    F = E.base
     if not scalar_mul(n, P).is_infinity or not scalar_mul(n, Q).is_infinity:
         raise NotTorsion(f"arguments are not {n}-torsion points")
     if P.is_infinity or Q.is_infinity:
         return F.one
     rng = random.Random(DEFAULT_SEED)
     for _ in range(256):
-        R = _random_point(ctx, rng)
+        R = _random_point(E, rng)
         if R is None or R.is_infinity:
             continue
         vals = (
@@ -543,22 +509,21 @@ def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int) -> FieldElement:
     raise NotTorsion("pairing evaluation kept degenerating")  # pragma: no cover
 
 
-def _random_point(ctx: CurveExt, rng) -> CurvePoint | None:
-    F = ctx.field
+def _random_point(E: Curve, rng) -> CurvePoint | None:
+    F = E.base
     x = FieldElement(F, tuple(rng.randrange(F.p) for _ in range(F.k)))
     flip = rng.randrange(2)  # drawn unconditionally to keep the stream aligned
-    y = ff.sqrt_in_field(ctx.rhs(x))
+    y = ff.sqrt_in_field(E.rhs(x))
     if y is None:
         return None
-    return CurvePoint(ctx, x, -y if flip else y)
+    return CurvePoint(E, x, -y if flip else y)
 
 
 def _miller(P: CurvePoint, S: CurvePoint, n: int):
     """f_{n,P}(S) with divisor n(P) - n(O); None when the evaluation degenerates."""
     if S.is_infinity or S == P:
         return None
-    F = P.ctx.field
-    f = F.one
+    f = P.ctx.base.one
     V = P
     for bit in bin(n)[3:]:
         val = _line_quotient(V, V, S)
@@ -581,7 +546,7 @@ def _line_quotient(A: CurvePoint, B: CurvePoint, S: CurvePoint):
     if A.is_infinity or B.is_infinity:
         other = B if A.is_infinity else A
         if other.is_infinity:
-            return ctx.field.one
+            return ctx.base.one
         val = S.x - other.x
         return None if val.is_zero() else val
     if A.x == B.x and A.y == -B.y:

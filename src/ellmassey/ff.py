@@ -37,6 +37,7 @@ from functools import lru_cache
 from .errors import (
     DegreeTooLarge,
     FieldMismatch,
+    FieldTooLarge,
     InternalError,
     NotPrime,
     UnsupportedField,
@@ -48,11 +49,14 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_EXT_DEGREE = 96
 MAX_ROOT_DEGREE = 200
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 (OEIS A014233): the least strong pseudoprime to all 13 bases above
+PRIME_CERTIFIED_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the fixed base set covers n < 3.3e24)."""
+    """Miller-Rabin on the first 13 primes: deterministic for
+    n < PRIME_CERTIFIED_BOUND, which is itself accepted."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -393,8 +397,13 @@ def make_field(p: int, k: int) -> ExtField:
     the first irreducible wins, so the modulus is stable across runs.
     The binomials X^k + c come first and are decided by the binomial theorem,
     the rest by Ben-Or's test; both are exact, so the same candidate wins.
-    For k = 1 the modulus is X itself.
+    For k = 1 the modulus is X itself. p must lie below
+    PRIME_CERTIFIED_BOUND, where ``is_prime`` is a proof.
     """
+    if p >= PRIME_CERTIFIED_BOUND:
+        raise FieldTooLarge(
+            f"characteristic must be below {PRIME_CERTIFIED_BOUND}, the bound of certified primality"
+        )
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1 or k > MAX_EXT_DEGREE:
@@ -738,8 +747,9 @@ def _nonresidue_power(F: ExtField):
 # embeddings between canonical fields
 
 class Embedding:
-    """Ring embedding GF(p^k0) -> GF(p^k), determined by the canonical
-    (smallest) root of the small field's modulus in the big field."""
+    """Ring embedding GF(p^k0) -> GF(p^k), determined by a root of the small
+    field's modulus in the big field: X when the fields are equal, else the
+    smallest root."""
 
     __slots__ = ("src", "dst", "_powers")
 
@@ -766,13 +776,16 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def embed_field(src: ExtField, dst: ExtField) -> Embedding:
-    """Canonical embedding GF(p^k0) into GF(p^k) (requires k0 | k)."""
+    """Canonical embedding GF(p^k0) into GF(p^k) (requires k0 | k); the
+    identity when the fields are equal."""
     if src.p != dst.p:
         raise FieldMismatch("different characteristics")
     if dst.k % src.k != 0:
         raise FieldMismatch(f"GF({src.p}^{src.k}) does not embed in GF({dst.p}^{dst.k})")
     if src.k == 1:
         return Embedding(src, dst, dst.zero_raw)
+    if src == dst:
+        return Embedding(src, dst, (0, 1) + (0,) * (dst.k - 2))
     roots = roots_in_field(list(src.modulus), dst)
     if not roots:
         raise FieldMismatch("modulus has no root in the target field")  # k0 | k rules this out

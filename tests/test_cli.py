@@ -208,6 +208,14 @@ def test_analyze_bad_characteristic_and_coeffs_exit_2(capsys):
     assert code == 2 and "error" in data
 
 
+def test_analyze_strong_pseudoprime_to_twelve_bases_exit_2(capsys):
+    # psi_12 of OEIS A014233 passes Miller-Rabin on the first 12 primes
+    code, data = run_json(
+        capsys, "analyze", "--p", "318665857834031151167461", "--a", "1", "--b", "1", "--ell", "3",
+    )
+    assert code == 2 and "not prime" in data["error"]["message"]
+
+
 def test_analyze_no_fixed_points_reports_matrix_when_affordable(capsys):
     code, data = run_json(
         capsys, "analyze", "--p", "5", "--a", "1", "--b", "0", "--ell", "3",
@@ -232,6 +240,25 @@ def test_analyze_no_fixed_points_past_the_degree_cap_reports_null(capsys, monkey
     monkeypatch.setattr(cli.ec, "torsion_basis", no_basis)
     code, data = run_json(
         capsys, "analyze", "--p", "5", "--a", "1", "--b", "0", "--ell", "7",
+        "--triples", "same-char",
+    )
+    assert code == 0
+    assert data["case"] == "no_fixed_points"
+    assert data["frobenius_matrix_l"] is None
+    assert data["frobenius_matrix_lprime"] is None
+    assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
+
+
+def test_analyze_no_fixed_points_past_the_absolute_degree_cap_reports_null(capsys, monkeypatch):
+    # over GF(25) psi_7's factors have lcm 12: 2 * 12 is within the cap, but
+    # the field that doubles them has degree 2 * 2 * 12 = 48 over GF(5), so
+    # both matrices are null and no torsion basis is built
+    def no_basis(curve, n):
+        raise AssertionError("torsion_basis called past the report cap")
+
+    monkeypatch.setattr(cli.ec, "torsion_basis", no_basis)
+    code, data = run_json(
+        capsys, "analyze", "--p", "5", "--k0", "2", "--a", "1", "--b", "0", "--ell", "7",
         "--triples", "same-char",
     )
     assert code == 0

@@ -56,8 +56,6 @@ def cli_argv(draw):
     broken = draw(st.one_of(st.none(), st.sampled_from(tuple(args))))
     argv = [command]
     for flag, (valid, invalid) in args.items():
-        if flag == "--k0" and argv[argv.index("--ell") + 1] in ("5", "7"):
-            valid = ("1",)  # over GF(p^2), E[5] and E[7] reach fields of degree 48
         value = draw(st.sampled_from(invalid if flag == broken else valid))
         argv += [flag, *value] if isinstance(value, tuple) else [flag, value]
     if command == "analyze" and draw(st.booleans()):

@@ -23,10 +23,9 @@ F7 = ff.make_field(7, 1)
 def brute_points(curve):
     """Oracle: all affine points by scanning every (x, y) pair."""
     pts = []
-    ctx = curve.ext()
     for x in curve.base.elements():
         for y in curve.base.elements():
-            if y * y == ctx.rhs(x):
+            if y * y == curve.rhs(x):
                 pts.append((x, y))
     return pts
 
@@ -60,11 +59,21 @@ def test_igusa_specialization_has_j_equal_t():
             assert c.j == base.element(t0)
 
 
+@pytest.mark.parametrize("p,k0,a,b,k", [(7, 1, 3, 4, 24), (5, 2, (0, 1), 2, 4), (7, 24, 3, 4, 24)])
+def test_base_change_is_a_curve(p, k0, a, b, k):
+    c = ec.curve_new(ff.make_field(p, k0), a, b)
+    assert c.over(c.base) == c
+    big = ff.make_field(p, k)
+    emb = ff.embed_field(c.base, big)
+    E = c.over(big)
+    assert E == ec.Curve(big, emb(c.a), emb(c.b))
+    assert E.j == emb(c.j)
+
+
 def test_point_add_identity_and_inverse():
     c = ec.curve_new(F5, 1, 1)
-    ctx = c.ext()
-    inf = ctx.infinity()
-    P = ctx.point(0, 1)
+    inf = c.infinity()
+    P = c.point(0, 1)
     assert ec.point_add(P, inf) == P
     assert ec.point_add(inf, P) == P
     assert ec.point_add(P, -P).is_infinity
@@ -77,9 +86,8 @@ def test_group_order_annihilates_y2_x3_plus_x():
     pts = brute_points(c)
     assert len(pts) + 1 == 4
     assert ec.count_points(c) == 4
-    ctx = c.ext()
     for x, y in pts:
-        assert ec.scalar_mul(4, ctx.point(x, y)).is_infinity
+        assert ec.scalar_mul(4, c.point(x, y)).is_infinity
 
 
 def test_count_points_matches_brute_force():
@@ -123,8 +131,7 @@ def test_hasse_bound_holds():
 
 def test_group_law_axioms_random_triples():
     c = ec.curve_new(F7, 2, 3)
-    ctx = c.ext()
-    pts = [ctx.infinity()] + [ctx.point(x, y) for x, y in brute_points(c)]
+    pts = [c.infinity()] + [c.point(x, y) for x, y in brute_points(c)]
     rng = random.Random(20)
     for _ in range(1000):
         P, Q, R = (rng.choice(pts) for _ in range(3))
@@ -166,9 +173,9 @@ def test_division_polynomial_roots_are_torsion_x():
     for n in (3, 5):
         psi = ec.division_polynomial(c, n)
         basis = ec.torsion_basis(c, n)
-        big = basis.P.ctx.field
-        emb = ff.embed_field(c.base, big) if big != c.base else None
-        coeffs = [emb(v) if emb else big.element(v.coeffs) for v in psi]
+        big = basis.P.ctx.base
+        emb = ff.embed_field(c.base, big)
+        coeffs = [emb(v) for v in psi]
         ctx = basis.P.ctx
         for x0 in ff.roots_in_field(coeffs, big):
             y = ff.sqrt_in_field(ctx.rhs(x0))
@@ -183,7 +190,7 @@ def test_torsion_basis_full_rational_3_torsion():
     assert ec.count_points(c) == 9
     basis = ec.torsion_basis(c, 3)
     assert basis.k == 1
-    assert basis.P.ctx.field == F7
+    assert basis.P.ctx.base == F7
     for T in (basis.P, basis.Q):
         assert ec.scalar_mul(3, T).is_infinity
         assert not T.is_infinity
@@ -209,16 +216,16 @@ def test_torsion_basis_invariants(p, a, b, n):
     assert len(seen) == n * n
     # Weil pairing of a basis is a primitive n-th root of unity
     zeta = ec.weil_pairing(basis.P, basis.Q, n)
-    assert zeta**n == basis.P.ctx.field.one
+    assert zeta**n == basis.P.ctx.base.one
     for r in {3, 5, 7} & {d for d in range(2, n + 1) if n % d == 0}:
-        assert zeta ** (n // r) != basis.P.ctx.field.one
+        assert zeta ** (n // r) != basis.P.ctx.base.one
 
 
 def _literal_basis(curve, n, field):
     """(P, Q) by search: all points of E[n] - {O} sorted, P the first of order
     n by repeated addition, Q the first whose span with P has n^2 points."""
-    emb = ff.embed_field(curve.base, field) if field != curve.base else None
-    coeffs = [emb(v) if emb else v for v in ec.division_polynomial(curve, n)]
+    emb = ff.embed_field(curve.base, field)
+    coeffs = [emb(v) for v in ec.division_polynomial(curve, n)]
     ctx = curve.over(field)
     points = []
     for x0 in ff.roots_in_field(coeffs, field):
@@ -263,7 +270,7 @@ BASIS_CURVES = [
 def test_torsion_basis_is_the_canonical_search_basis(p, k0, a, b, n):
     c = ec.curve_new(ff.make_field(p, k0), a, b)
     basis = ec.torsion_basis(c, n)
-    assert (basis.P, basis.Q) == _literal_basis(c, n, basis.P.ctx.field)
+    assert (basis.P, basis.Q) == _literal_basis(c, n, basis.P.ctx.base)
 
 
 @pytest.mark.parametrize("p,k0,a,b,n", BASIS_CURVES)
@@ -321,7 +328,7 @@ def _matmul(A, B, n):
 def test_weil_pairing_alternating_and_antisymmetric():
     c = ec.curve_new(F7, 0, 2)
     basis = ec.torsion_basis(c, 3)
-    F = basis.P.ctx.field
+    F = basis.P.ctx.base
     assert ec.weil_pairing(basis.P, basis.P, 3) == F.one
     assert ec.weil_pairing(basis.Q, basis.Q, 3) == F.one
     e_pq = ec.weil_pairing(basis.P, basis.Q, 3)
@@ -354,9 +361,8 @@ def test_weil_pairing_frobenius_equivariance():
 
 def test_weil_pairing_not_torsion():
     c = ec.curve_new(F7, 0, 2)
-    ctx = c.ext()
     # (3, 3) lies on y^2 = x^3 + 2 over GF(7): 27+2 = 29 = 1 = 9? no; pick a real point
-    pts = [ctx.point(x, y) for x, y in brute_points(c)]
+    pts = [c.point(x, y) for x, y in brute_points(c)]
     P = pts[0]
     with pytest.raises(NotTorsion):
         ec.weil_pairing(P, P, 5)  # 5 does not divide the order 9 group
@@ -368,10 +374,10 @@ def test_division_polynomial_vanishes_exactly_on_torsion_x():
         base = ff.make_field(p, 1)
         c = ec.curve_new(base, a, b)
         basis = ec.torsion_basis(c, n)
-        big = basis.P.ctx.field
-        emb = ff.embed_field(c.base, big) if big != c.base else None
+        big = basis.P.ctx.base
+        emb = ff.embed_field(c.base, big)
         psi = ec.division_polynomial(c, n)
-        coeffs = [emb(v) if emb else v for v in psi]
+        coeffs = [emb(v) for v in psi]
         roots = set(ff.roots_in_field(coeffs, big))
         xs = set()
         for i in range(n):
@@ -422,8 +428,7 @@ def test_rational_torsion_rank():
 
 def _rational_torsion_count(curve, ell):
     """Oracle: #E(F_p)[ell], the points P of E(F_p) with ell * P = O."""
-    ctx = curve.ext()
-    points = [ctx.point(x, y) for x, y in brute_points(curve)]
+    points = [curve.point(x, y) for x, y in brute_points(curve)]
     return 1 + sum(1 for P in points if ec.scalar_mul(ell, P).is_infinity)
 
 
@@ -455,7 +460,7 @@ def test_frobenius_inconsistency_raises_internal_error(monkeypatch):
 
 
 def test_point_field_mismatch():
-    c1 = ec.curve_new(F5, 1, 1).ext()
-    c2 = ec.curve_new(F7, 0, 2).ext()
+    c1 = ec.curve_new(F5, 1, 1)
+    c2 = ec.curve_new(F7, 0, 2)
     with pytest.raises(FieldMismatch):
         ec.point_add(c1.point(0, 1), c2.point(3, 5))

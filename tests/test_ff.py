@@ -9,6 +9,7 @@ from ellmassey import ff
 from ellmassey.errors import (
     DegreeTooLarge,
     FieldMismatch,
+    FieldTooLarge,
     NotPrime,
     UnsupportedField,
     ZeroPolynomial,
@@ -53,6 +54,43 @@ def test_make_field_errors():
         ff.make_field(5, 97)
     with pytest.raises(DegreeTooLarge):
         ff.make_field(5, 0)
+
+
+# OEIS A014233: psi_n is the least odd composite that is a strong pseudoprime
+# to each of the first n prime bases
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_below_its_bound():
+    assert ff.PRIME_CERTIFIED_BOUND == PSI[12] == 1287836182261 * 2575672364521
+    assert PSI[11] == 399165290221 * 798330580441
+    for psi in PSI[:12]:
+        assert not ff.is_prime(psi), psi
+    # 13 bases still pass psi_13 itself: make_field stops below it
+    assert ff.is_prime(PSI[12])
+    assert ff.is_prime(318665857834031151167483)
+
+
+def test_make_field_rejects_characteristics_past_the_certified_bound():
+    with pytest.raises(NotPrime):
+        ff.make_field(PSI[11], 1)
+    for p in (PSI[12], PSI[12] + 2):
+        with pytest.raises(FieldTooLarge, match=str(ff.PRIME_CERTIFIED_BOUND)):
+            ff.make_field(p, 1)
 
 
 def test_make_field_moduli_irreducible_by_scan():
@@ -323,6 +361,20 @@ def test_embedding_is_ring_homomorphism():
     assert emb(small.one) == big.one
     with pytest.raises(FieldMismatch):
         ff.embed_field(small, ff.make_field(5, 3))
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (7, 24)])
+def test_embedding_into_the_same_field_is_the_identity(p, k):
+    # over GF(7^24) the smallest root of the modulus is not X, so the
+    # identity is a choice, not the canonical-root rule
+    F = ff.make_field(p, k)
+    emb = ff.embed_field(F, F)
+    rng = random.Random(p * k)
+    for _ in range(50):
+        x = F.element(tuple(rng.randrange(p) for _ in range(k)))
+        assert emb(x) == x
+    if k == 24:
+        assert ff.roots_in_field(list(F.modulus), F)[0].coeffs != (0, 1) + (0,) * 22
 
 
 def test_element_mismatch_errors():
