@@ -5,7 +5,7 @@ basis, and shows the determinant identity det(A) = q together with the
 Galois equivariance of the pairing.
 """
 
-from ellmassey import ec, ff
+from ellmassey import ec, ff, galois
 
 F7 = ff.make_field(7, 1)
 E = ec.curve_new(F7, 0, 2)
@@ -16,7 +16,7 @@ for n in (3, 9):
     print(f"E[{n}] lives over GF(7^{basis.k})")
     print("  P =", basis.P, " Q =", basis.Q)
     A = ec.frobenius_matrix(basis)
-    print("  Frobenius matrix:", A.entries, " det =", A.det(), "= 7 mod", n)
+    print("  Frobenius matrix:", A, " det =", galois.mat_det(A, n), "= 7 mod", n)
 
 basis = ec.torsion_basis(E, 9)
 zeta = ec.weil_pairing(basis.P, basis.Q, 9)

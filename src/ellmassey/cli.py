@@ -14,6 +14,10 @@ Subcommands and exit codes:
   stdout closed by its reader), 3 search exhausted, 4 internal error (a
   consistency check of the program failed).
 
+A triple list (``sample N``, or ``analyze --triples all``) is capped at
+TRIPLE_CAP = 5**9 triples, the l = 5 full-torsion table; a larger one is an
+input error. A galois-check file nested too deeply to decode is invalid data.
+
 All output is deterministic for fixed flags except the meta.elapsed_ms
 timing field. --seed selects the triples of ``sample N`` and is echoed in
 meta.seed; no other result depends on it (search only echoes it).
@@ -31,7 +35,7 @@ import sys
 import time
 
 from . import ec, ff, galois, massey
-from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, SearchExhausted
+from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, InvalidData, SearchExhausted
 from .ff import DEFAULT_SEED
 
 CASE_FLAGS = ("full3", "split", "unipotent")
@@ -44,6 +48,7 @@ EXIT_INTERNAL = 4
 
 NO_FIXED_POINTS_REPORT_DEGREE_CAP = 24
 EXHAUSTIVE_TRIPLE_CAP = 27**3  # the l = 3 full-torsion grid
+TRIPLE_CAP = 5**9  # the l = 5 full-torsion table, 125^3 triples
 
 
 def _emit(payload, fmt="json", csv_rows=None, csv_header=None):
@@ -66,10 +71,8 @@ def _field_to_json(x: ff.FieldElement):
     return list(x.coeffs)
 
 
-def _matrix_to_json(action):
-    if action is None:
-        return None
-    return [list(row) for row in action.entries]
+def _matrix_to_json(A):
+    return None if A is None else [list(row) for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ def _iter_primes(lo, hi):
 
 def cmd_search(args) -> int:
     ell = args.ell
-    if ell not in (3, 5, 7):
+    if ell not in ec.SUPPORTED_ELLS:
         raise InputError("--ell must be 3, 5 or 7")
     if args.case == "full3" and ell != 3:
         raise InputError("--case full3 requires --ell 3")
@@ -91,6 +94,11 @@ def cmd_search(args) -> int:
         raise InputError(f"--max-p capped at {ec.POINT_COUNT_CAP}")
     if args.limit < 1:
         raise InputError(f"--limit must be at least 1, got {args.limit}")
+    wanted = {
+        "full3": galois.GaloisCase.FULL_TORSION,
+        "split": galois.GaloisCase.SPLIT_LINE,
+        "unipotent": galois.GaloisCase.UNIPOTENT_LINE,
+    }[args.case]
     rows = []
     for p in _iter_primes(5, args.max_p):
         if p == ell or (6 * ell) % p == 0:
@@ -106,18 +114,11 @@ def cmd_search(args) -> int:
             except EllmasseyError:
                 continue
             rank = ec.rational_torsion_rank(curve, ell)
-            want = 2 if args.case == "full3" else 1
-            if rank != want:
+            if galois.case_from_rank(rank, p, ell) is not wanted:
                 continue
-            basis = ec.torsion_basis(curve, ell)
-            action = ec.frobenius_matrix(basis)
-            case = galois.classify_case(action)
-            expected = {
-                "full3": galois.GaloisCase.FULL_TORSION,
-                "split": galois.GaloisCase.SPLIT_LINE,
-                "unipotent": galois.GaloisCase.UNIPOTENT_LINE,
-            }[args.case]
-            if case is not expected:
+            A = ec.frobenius_matrix(ec.torsion_basis(curve, ell))
+            case = galois.classify_case(A, ell)
+            if case is not wanted:
                 raise CaseMismatch(
                     f"p={p} a={a} b={b}: rank {rank} at ell={ell} but Frobenius case {case.value}"
                 )
@@ -126,7 +127,7 @@ def cmd_search(args) -> int:
                     "p": p,
                     "a": a,
                     "b": b,
-                    "frobenius_matrix": _matrix_to_json(action),
+                    "frobenius_matrix": _matrix_to_json(A),
                     "points": ec.count_points(curve),
                 }
             )
@@ -196,7 +197,19 @@ def _parse_mode(spec_parts, flag, words, usage):
         raise bad from exc
     if count < 0:
         raise bad
+    if count > TRIPLE_CAP:
+        raise InputError(f"{flag} sample {count} exceeds the cap of {TRIPLE_CAP} triples")
     return mode, count
+
+
+def _check_table_cap(chars, cap, what, flag):
+    """InputError when the full table over ``chars`` has more than ``cap`` triples."""
+    if len(chars) ** 3 > cap:
+        raise InputError(
+            f"{what} is capped at {cap} triples; "
+            f"this curve has {len(chars)} characters, {len(chars) ** 3} triples "
+            f"(use {flag} sample N)"
+        )
 
 
 def _select_triples(chars, mode, count, seed):
@@ -219,14 +232,13 @@ def _report_matrices(curve, group):
     the field the report would build: at most twice that of the x-coordinates.
     """
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
-        normalized = group.context["normalized_action"]
-        return normalized.reduce(group.ell), normalized
+        An = group.context["normalized_action"]
+        return tuple(tuple(v % group.ell for v in row) for row in An), An
     _, factors = ec._torsion_field_degree(curve, group.ell)
     if curve.base.k * 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None
-    basis = ec.torsion_basis(curve, group.ell)
-    action = ec.frobenius_matrix(basis)
-    return action, action if group.ell == group.ell_prime else None
+    A = ec.frobenius_matrix(ec.torsion_basis(curve, group.ell))
+    return A, A if group.ell == group.ell_prime else None
 
 
 def _constants_json(group):
@@ -245,6 +257,8 @@ def cmd_analyze(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
+    if mode == "all":
+        _check_table_cap(chars, TRIPLE_CAP, "--triples all", "--triples")
     # triples of character indices: each character's output is built once,
     # and only the rows of the requested format
     triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
@@ -306,12 +320,8 @@ def cmd_verify(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    if mode == "exhaustive" and len(chars) ** 3 > EXHAUSTIVE_TRIPLE_CAP:
-        raise InputError(
-            f"exhaustive verification is capped at {EXHAUSTIVE_TRIPLE_CAP} triples; "
-            f"this curve has {len(chars)} characters, {len(chars) ** 3} triples "
-            "(use --mode sample N)"
-        )
+    if mode == "exhaustive":
+        _check_table_cap(chars, EXHAUSTIVE_TRIPLE_CAP, "exhaustive verification", "--mode")
     triples, mode = _select_triples(chars, mode, count, args.seed)
     mismatches = []
     for c1, c2, c3 in triples:
@@ -349,7 +359,10 @@ def cmd_verify(args) -> int:
 
 def cmd_galois_check(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise InvalidData(f"{args.input}: JSON nested too deeply") from exc
     abstract = galois.load_abstract(data)
     if args.theorem == "52":
         verdict = massey.thm52_check(abstract)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from . import ff
 from .errors import (
@@ -32,7 +32,8 @@ from .errors import (
 from .ff import DEFAULT_SEED, ExtField, FieldElement
 
 POINT_COUNT_CAP = 50021
-TORSION_LEVELS = (3, 5, 7, 9)
+SUPPORTED_ELLS = (3, 5, 7)
+TORSION_LEVELS = SUPPORTED_ELLS + (9,)
 
 
 class Curve:
@@ -156,37 +157,6 @@ class TorsionBasis:
         self.Q = Q
         self.k = k
         self.table = table
-
-
-class TorsionAction:
-    """Frobenius on an ordered n-torsion basis; columns are the images."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries):
-        self.n = n
-        self.entries = tuple(tuple(v % n for v in row) for row in entries)
-        if gcd(self.det(), n) != 1:
-            raise NotInSpan("torsion action matrix is not invertible")
-
-    def det(self) -> int:
-        (a, b), (c, d) = self.entries
-        return (a * d - b * c) % self.n
-
-    def reduce(self, m: int) -> "TorsionAction":
-        if self.n % m != 0:
-            raise FieldMismatch(f"cannot reduce level {self.n} matrix mod {m}")
-        return TorsionAction(m, [[v % m for v in row] for row in self.entries])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorsionAction)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"TorsionAction(n={self.n}, {self.entries})"
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +419,25 @@ def frobenius_endo(P: CurvePoint, q: int) -> CurvePoint:
     )
 
 
-def frobenius_matrix(basis: TorsionBasis) -> TorsionAction:
+def frobenius_matrix(basis: TorsionBasis):
     """Matrix of the q-power Frobenius on (P, Q), columns = images.
 
     Solves Phi(P) = aP + bQ and Phi(Q) = cP + dQ by lookup in the basis's
-    coordinate table and returns ((a, c), (b, d)).
+    coordinate table and returns ((a, c), (b, d)), entries in [0, n). Its
+    determinant is q mod n (the Weil pairing), a unit as n is prime to p.
     """
     n = basis.n
     big = basis.P.ctx.base
     q = big.p ** (big.k // basis.k)
     try:
-        col_p = basis.table[frobenius_endo(basis.P, q).key()]
-        col_q = basis.table[frobenius_endo(basis.Q, q).key()]
+        a, b = basis.table[frobenius_endo(basis.P, q).key()]
+        c, d = basis.table[frobenius_endo(basis.Q, q).key()]
     except KeyError as exc:  # pragma: no cover - signals an internal inconsistency
         raise NotInSpan("Frobenius image outside the torsion span") from exc
-    action = TorsionAction(n, [[col_p[0], col_q[0]], [col_p[1], col_q[1]]])
-    if action.det() != q % n:
-        raise InternalError(f"Frobenius determinant {action.det()} differs from q mod {n} = {q % n}")
-    return action
+    det = (a * d - b * c) % n
+    if det != q % n:
+        raise InternalError(f"Frobenius determinant {det} differs from q mod {n} = {q % n}")
+    return ((a, c), (b, d))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +567,6 @@ def _rational_rank_cached(curve: Curve, ell: int) -> int:
 
 def rational_torsion_rank(curve: Curve, ell: int) -> int:
     """Rank r in {0,1,2} of E(F_q)[ell] (the Frobenius-fixed points of E[ell])."""
-    if ell not in (3, 5, 7):
+    if ell not in SUPPORTED_ELLS:
         raise UnsupportedLevel("rational torsion rank implemented for ell in {3,5,7}")
     return _rational_rank_cached(curve, ell)

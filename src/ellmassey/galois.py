@@ -36,9 +36,6 @@ from .errors import (
     UnsupportedLevel,
 )
 
-SUPPORTED_ELLS = (3, 5, 7)
-
-
 def ell_prime(ell: int) -> int:
     """Torsion level at which Frobenius must be tracked: 9 for l=3, else l."""
     return 9 if ell == 3 else ell
@@ -98,12 +95,10 @@ def mat_sub(A, B, n):
 # ---------------------------------------------------------------------------
 # case classification
 
-def classify_case(action: ec.TorsionAction) -> GaloisCase:
+def classify_case(A, ell: int) -> GaloisCase:
     """Shape of a mod-l Frobenius matrix: identity, no fixed line, split, unipotent."""
-    ell = action.n
-    if ell not in SUPPORTED_ELLS:
-        raise UnsupportedLevel(f"classification defined at prime level, ell in {SUPPORTED_ELLS}")
-    A = action.entries
+    if ell not in ec.SUPPORTED_ELLS:
+        raise UnsupportedLevel(f"classification defined at prime level, ell in {ec.SUPPORTED_ELLS}")
     M = mat_sub(A, mat_id(), ell)
     if M == ((0, 0), (0, 0)):
         return GaloisCase.FULL_TORSION
@@ -112,6 +107,19 @@ def classify_case(action: ec.TorsionAction) -> GaloisCase:
     if mat_mul(M, M, ell) == ((0, 0), (0, 0)):
         return GaloisCase.UNIPOTENT_LINE
     return GaloisCase.SPLIT_LINE
+
+
+def case_from_rank(rank: int, q: int, ell: int) -> GaloisCase:
+    """The case of a curve over F_q from the rank of E(F_q)[l].
+
+    With one fixed line the other eigenvalue of Frobenius is its determinant,
+    q mod l (the Weil pairing), so the line is unipotent iff q = 1 mod l.
+    """
+    if rank == 2:
+        return GaloisCase.FULL_TORSION
+    if rank == 0:
+        return GaloisCase.NO_FIXED_POINTS
+    return GaloisCase.UNIPOTENT_LINE if q % ell == 1 else GaloisCase.SPLIT_LINE
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +337,24 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
                   second column (1, 1); c = gamma for l = 3, else 0.
     no_fixed_points: the torsion part is trivial (phi^{l'}-1 is invertible).
     """
-    if ell not in SUPPORTED_ELLS:
-        raise UnsupportedLevel(f"ell must be one of {SUPPORTED_ELLS}")
+    if ell not in ec.SUPPORTED_ELLS:
+        raise UnsupportedLevel(f"ell must be one of {ec.SUPPORTED_ELLS}")
     if curve.base.p == ell:
         raise UnsupportedLevel("ell equals the characteristic")
     lp = ell_prime(ell)
     q = curve.base.order
-    rank_fixed = ec.rational_torsion_rank(curve, ell)
-    if rank_fixed == 2:
-        case = GaloisCase.FULL_TORSION
-    elif rank_fixed == 0:
-        case = GaloisCase.NO_FIXED_POINTS
-    elif q % ell == 1:
-        case = GaloisCase.UNIPOTENT_LINE
-    else:
-        case = GaloisCase.SPLIT_LINE
+    case = case_from_rank(ec.rational_torsion_rank(curve, ell), q, ell)
 
     if case is GaloisCase.NO_FIXED_POINTS:
         return GbarGroup(ell, case, (), (), constants=None, context={"q": q})
 
     basis = ec.torsion_basis(curve, lp)
-    action = ec.frobenius_matrix(basis)
-    A = action.entries
+    A = ec.frobenius_matrix(basis)
 
     if case is GaloisCase.FULL_TORSION:
-        if any((A[i][j] - (1 if i == j else 0)) % ell for i in range(2) for j in range(2)):
+        if mat_sub(A, mat_id(), ell) != ((0, 0), (0, 0)):
             raise CaseMismatch("full torsion case but phi is not trivial mod l")
-        ctx = {"q": q, "action": action, "normalized_action": action}
+        ctx = {"q": q, "action": A, "normalized_action": A}
         return GbarGroup(ell, case, (lp, lp), A, constants=None, context=ctx)
 
     if case is GaloisCase.UNIPOTENT_LINE:
@@ -371,7 +370,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
             raise CaseMismatch("unipotent action entries not congruent to identity mod l")
         constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0,
                      "c": gamma if ell == 3 else 0}
-        ctx = {"q": q, "action": action, "normalized_action": ec.TorsionAction(lp, An)}
+        ctx = {"q": q, "action": A, "normalized_action": An}
         return GbarGroup(ell, case, (lp, lp), An, constants=constants, context=ctx)
 
     # split line
@@ -382,27 +381,16 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
         raise CaseMismatch("split case but eigenvectors not found mod l")
     S = ((v1[0], v2[0]), (v1[1], v2[1]))
     An = mat_mul(mat_inv(S, lp), mat_mul(A, S, lp), lp)
+    if mat_sub(An, ((1, 0), (0, eps)), ell) != ((0, 0), (0, 0)):
+        raise CaseMismatch("split normalization failed")
+    # the scalar An[0][0] is 1 + 3*alpha mod 9 at l = 3, and 1 at l > 3
     if ell == 3:
-        ok = (
-            An[0][0] % 3 == 1
-            and An[0][1] % 3 == 0
-            and An[1][0] % 3 == 0
-            and An[1][1] % 3 == 2
-        )
-        if not ok:
-            raise CaseMismatch("split normalization failed at level 9")
-        alpha = (An[0][0] - 1) // 3
-        constants = {"alpha": alpha, "beta": An[0][1] // 3, "gamma": An[1][0] // 3,
+        constants = {"alpha": (An[0][0] - 1) // 3, "beta": An[0][1] // 3, "gamma": An[1][0] // 3,
                      "delta": (An[1][1] - 2) // 3, "c": None}
-        scalar = (1 + 3 * alpha) % 9
     else:
-        if An != ((1, 0), (0, eps)):
-            raise CaseMismatch("split normalization failed")
-        alpha = 0
         constants = {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
-        scalar = 1
-    ctx = {"q": q, "action": action, "normalized_action": ec.TorsionAction(lp, An)}
-    return GbarGroup(ell, case, (lp,), ((scalar,),), constants=constants, context=ctx)
+    ctx = {"q": q, "action": A, "normalized_action": An}
+    return GbarGroup(ell, case, (lp,), ((An[0][0],),), constants=constants, context=ctx)
 
 
 def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int):
@@ -523,7 +511,7 @@ def load_abstract(data: dict) -> AbstractGaloisData:
             tuple(_json_int(v, f"generators[{idx}][{i}][{j}]") % 9 for j, v in enumerate(row))
             for i, row in enumerate(g)
         )
-        if any((mat[i][j] - (1 if i == j else 0)) % 3 for i in range(2) for j in range(2)):
+        if mat_sub(mat, mat_id(), 3) != ((0, 0), (0, 0)):
             raise NotCongruentIdentity(f"generators[{idx}] is not congruent to the identity mod 3")
         if mat_det(mat, 9) % 3 == 0:  # unreachable once = I mod 3 holds; kept as a guard
             raise NotInvertible(f"generators[{idx}] is not invertible mod 9")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -424,8 +425,13 @@ def test_trailing_mode_token_exit_2(capsys, command, spec, extra):
         ("verify", ("--mode", "sample", "x"),
          "--mode sample count must be a non-negative integer, got 'x'"),
         ("verify", ("--mode", "every"), "--mode must be exhaustive or sample [N]"),
+        ("analyze", ("--triples", "sample", "1953126"),
+         "--triples sample 1953126 exceeds the cap of 1953125 triples"),
+        ("verify", ("--mode", "sample", "1953126"),
+         "--mode sample 1953126 exceeds the cap of 1953125 triples"),
     ],
-    ids=["analyze-extra", "analyze-count", "analyze-word", "verify-extra", "verify-count", "verify-word"],
+    ids=["analyze-extra", "analyze-count", "analyze-word", "verify-extra", "verify-count", "verify-word",
+         "analyze-cap", "verify-cap"],
 )
 def test_malformed_mode_rejected_before_the_group_is_built(capsys, monkeypatch, command, spec, message):
     from ellmassey import galois
@@ -439,6 +445,25 @@ def test_malformed_mode_rejected_before_the_group_is_built(capsys, monkeypatch, 
     )
     assert code == 2
     assert data["error"]["message"] == message
+
+
+def test_sample_count_at_the_triple_cap_is_accepted():
+    assert cli.TRIPLE_CAP == 125**3  # the l = 5 full-torsion table
+    for flag, words in (("--triples", ("all", "same-char", "sample")), ("--mode", ("exhaustive", "sample"))):
+        spec = ["sample", str(cli.TRIPLE_CAP)]
+        assert cli._parse_mode(spec, flag, words, "usage") == ("sample", cli.TRIPLE_CAP)
+
+
+def test_analyze_table_past_the_triple_cap_exit_2(capsys):
+    # l = 7 full torsion: 343 characters, 343^3 triples, rejected before any is built
+    t0 = time.monotonic()
+    code, data = run_json(capsys, "analyze", "--p", "43", "--a", "0", "--b", "3", "--ell", "7")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert data["error"]["message"] == (
+        "--triples all is capped at 1953125 triples; this curve has 343 characters, "
+        "40353607 triples (use --triples sample N)"
+    )
 
 
 def test_sample_count_shared_by_verify_and_analyze(capsys):
@@ -468,7 +493,7 @@ def test_sample_count_shared_by_verify_and_analyze(capsys):
 def test_search_case_mismatch_is_an_error_not_an_assert(capsys, monkeypatch):
     from ellmassey import galois
 
-    monkeypatch.setattr(galois, "classify_case", lambda action: galois.GaloisCase.NO_FIXED_POINTS)
+    monkeypatch.setattr(galois, "classify_case", lambda A, ell: galois.GaloisCase.NO_FIXED_POINTS)
     code, data = run_json(
         capsys, "search", "--ell", "3", "--case", "split", "--max-p", "20", "--limit", "1"
     )
@@ -575,6 +600,23 @@ def test_galois_check_undecodable_file_exit_2(tmp_path, capsys):
     code, data = run_json(capsys, "galois-check", "--input", str(bad), "--theorem", "52")
     assert code == 2
     assert "error" in data
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"generators": ' + "[" * 5_000 + "[[1, 0], [0, 1]]" + "]" * 5_000 + ', "chi_on_generators": [0], '
+        '"chi_on_torsion": [0, 0], "has_ninth_root": false, "unique_cubic_extension": true}',
+    ],
+    ids=["brackets", "generators"],
+)
+def test_galois_check_deeply_nested_json_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, data = run_json(capsys, "galois-check", "--input", str(path), "--theorem", "52")
+    assert code == 2
+    assert data["error"]["message"].endswith("JSON nested too deeply")
 
 
 VALID_ABSTRACT = {

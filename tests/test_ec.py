@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from ellmassey import ec, ff
+from ellmassey import ec, ff, galois
 from ellmassey.errors import (
     BadCharacteristic,
     FieldMismatch,
@@ -294,7 +294,7 @@ def test_frobenius_matrix_identity_on_rational_torsion():
     c = ec.curve_new(F7, 0, 2)
     basis = ec.torsion_basis(c, 3)
     action = ec.frobenius_matrix(basis)
-    assert action.entries == ((1, 0), (0, 1))
+    assert action == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -306,23 +306,23 @@ def test_frobenius_matrix_det_is_q(p, a, b, n):
     c = ec.curve_new(base, a, b)
     basis = ec.torsion_basis(c, n)
     action = ec.frobenius_matrix(basis)
-    assert action.det() == p % n
+    assert galois.mat_det(action, n) == p % n
     # order of the matrix equals the torsion field degree over the base
     m = action
     order = 1
-    ident = ec.TorsionAction(n, [[1, 0], [0, 1]])
+    ident = ((1, 0), (0, 1))
     while m != ident:
-        m = ec.TorsionAction(n, _matmul(m.entries, action.entries, n))
+        m = _matmul(m, action, n)
         order += 1
         assert order <= 200
     assert order == basis.k
 
 
 def _matmul(A, B, n):
-    return [
-        [(A[0][0] * B[0][0] + A[0][1] * B[1][0]) % n, (A[0][0] * B[0][1] + A[0][1] * B[1][1]) % n],
-        [(A[1][0] * B[0][0] + A[1][1] * B[1][0]) % n, (A[1][0] * B[0][1] + A[1][1] * B[1][1]) % n],
-    ]
+    return (
+        ((A[0][0] * B[0][0] + A[0][1] * B[1][0]) % n, (A[0][0] * B[0][1] + A[0][1] * B[1][1]) % n),
+        ((A[1][0] * B[0][0] + A[1][1] * B[1][0]) % n, (A[1][0] * B[0][1] + A[1][1] * B[1][1]) % n),
+    )
 
 
 def test_weil_pairing_alternating_and_antisymmetric():
@@ -356,7 +356,7 @@ def test_weil_pairing_frobenius_equivariance():
         )
         assert lhs == e**p
         action = ec.frobenius_matrix(basis)
-        assert lhs == e ** action.det()
+        assert lhs == e ** galois.mat_det(action, n)
 
 
 def test_weil_pairing_not_torsion():
@@ -395,7 +395,7 @@ def test_frobenius_matrix_split_recipe_conjugate_to_diag():
         base = ff.make_field(p, 1)
         curve = ec.curve_new(base, a, b)
         basis = ec.torsion_basis(curve, ell)
-        A = ec.frobenius_matrix(basis).entries
+        A = ec.frobenius_matrix(basis)
         eps = p % ell
         assert eps != 1
         eigvecs = {}
