@@ -85,6 +85,7 @@ def _iter_primes(lo, hi):
 
 
 def cmd_search(args) -> int:
+    """Rank, #E(F_p) and E[l] once per GF(p)-isomorphism class (ec.class_key), moved to each row."""
     ell = args.ell
     if ell not in ec.SUPPORTED_ELLS:
         raise InputError("--ell must be 3, 5 or 7")
@@ -101,26 +102,37 @@ def cmd_search(args) -> int:
     }[args.case]
     rows = []
     for p in _iter_primes(5, args.max_p):
-        if p == ell or (6 * ell) % p == 0:
+        if p == ell:
             continue
         if args.case in ("full3", "unipotent") and p % ell != 1:
             continue
         if args.case == "split" and p % ell == 1:
             continue
         base = ff.make_field(p, 1)
+        classes = {}  # class key -> the representative's facts, or None if its case is not wanted
         for a, b in itertools.product(range(p), repeat=2):
-            try:
-                curve = ec.curve_new(base, a, b)
-            except EllmasseyError:
+            if (4 * a**3 + 27 * b * b) % p == 0:
                 continue
-            rank = ec.rational_torsion_rank(curve, ell)
-            if galois.case_from_rank(rank, p, ell) is not wanted:
+            key = ec.class_key(a, b, p)
+            if key not in classes:
+                rep = ec.curve_new(base, a, b)
+                rank = ec.rational_torsion_rank(rep, ell)
+                hit = galois.case_from_rank(rank, p, ell) is wanted
+                classes[key] = {"rep": rep, "ab": (a, b), "rank": rank, "torsion": None} if hit else None
+            cls = classes[key]
+            if cls is None:
                 continue
-            A = ec.frobenius_matrix(ec.torsion_basis(curve, ell))
+            if cls["torsion"] is None:
+                cls["torsion"] = ec.torsion_points(cls["rep"], ell)
+                cls["points"] = ec.count_points(cls["rep"])
+            k, points = cls["torsion"]
+            u = ec.isomorphism_scalar(*cls["ab"], a, b, p)
+            curve = ec.curve_new(base, a, b)
+            A = ec.frobenius_matrix(ec.basis_from_points(k, ec.transport_points(points, curve, u), ell))
             case = galois.classify_case(A, ell)
             if case is not wanted:
                 raise CaseMismatch(
-                    f"p={p} a={a} b={b}: rank {rank} at ell={ell} but Frobenius case {case.value}"
+                    f"p={p} a={a} b={b}: rank {cls['rank']} at ell={ell} but Frobenius case {case.value}"
                 )
             rows.append(
                 {
@@ -128,7 +140,7 @@ def cmd_search(args) -> int:
                     "a": a,
                     "b": b,
                     "frobenius_matrix": _matrix_to_json(A),
-                    "points": ec.count_points(curve),
+                    "points": cls["points"],
                 }
             )
             if len(rows) >= args.limit:

@@ -2,8 +2,9 @@
 
 Provides the affine group law, exhaustive point counting, odd division
 polynomials, deterministic n-torsion bases over the minimal extension field,
-the Frobenius matrix on a torsion basis, and the Weil pairing via Miller's
-algorithm with shifted evaluation.
+the transport of torsion points along a GF(p)-isomorphism, the Frobenius
+matrix on a torsion basis, and the Weil pairing via Miller's algorithm with
+shifted evaluation.
 
 Division polynomials follow the y-normalized convention: the cached
 polynomial for even index m is psi_m / y, so every entry is univariate in x
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import ff
 from .errors import (
@@ -325,15 +326,18 @@ def _division_raw(curve: Curve, n: int) -> list:
 # torsion bases
 
 def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
-    """Deterministic basis of E[n] over the least extension containing it.
+    """Deterministic basis of E[n] over the least extension containing it:
+    ``basis_from_points`` of ``torsion_points``."""
+    return basis_from_points(*torsion_points(curve, n), n)
 
-    The torsion field degree comes from the factor degrees of psi_n over the
-    base (all x-coordinates rational over the lcm; one quadratic doubling if
-    some y-coordinate needs it). All n^2 - 1 nonzero points are materialized
-    and sorted. As E[n] = (Z/n)^2 for n a power of the prime l, T has order n
-    iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off the line
-    <(n/l)P>. So P is the first point with (n/l)P != O and Q the first point
-    off that line. The basis carries its coordinate table {iP + jQ: (i, j)}.
+
+def torsion_points(curve: Curve, n: int):
+    """(k, points): the least k with E[n] rational over the degree-k extension
+    of the base, and the n^2 - 1 nonzero points of E[n] on the curve over it.
+
+    k comes from the factor degrees of psi_n over the base (all
+    x-coordinates rational over the lcm; one quadratic doubling if some
+    y-coordinate needs it).
     """
     if n not in TORSION_LEVELS:
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
@@ -343,10 +347,21 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     if curve.base.k * k > ff.MAX_EXT_DEGREE:
         raise ExtensionCapExceeded(f"torsion field degree {curve.base.k * k} exceeds cap")
     big = ff.make_field(curve.base.p, curve.base.k * k)
-    points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
+    return k, _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
+
+
+def basis_from_points(k: int, points: list[CurvePoint], n: int) -> TorsionBasis:
+    """The canonical basis of E[n] given its n^2 - 1 nonzero points.
+
+    The points are sorted. As E[n] = (Z/n)^2 for n a power of the prime l,
+    T has order n iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off
+    the line <(n/l)P>. So P is the first point with (n/l)P != O and Q the
+    first point off that line. The basis carries its coordinate table
+    {iP + jQ: (i, j)}.
+    """
     if len(points) != n * n - 1:
         raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
-    points.sort(key=lambda T: T.key())
+    points = sorted(points, key=CurvePoint.key)
     ell = 3 if n == 9 else n  # every level is a prime or 9
     h = n // ell
     P = next(T for T in points if not scalar_mul(h, T).is_infinity)
@@ -357,6 +372,28 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     if len(table) != n * n:
         raise InternalError(f"basis spans {len(table)} points of E[{n}], expected {n * n}")
     return TorsionBasis(n, P, Q, k, table)
+
+
+def transport_points(points: list[CurvePoint], curve: Curve, u: int) -> list[CurvePoint]:
+    """Images of points of y^2 = x^3 + a0 x + b0 under (x, y) -> (u^2 x, u^3 y),
+    on ``curve`` over the points' field.
+
+    For u in F_p^* this is an isomorphism onto the curve (u^4 a0, u^6 b0)
+    (Silverman, AEC III.1), so E[n] - {O} of that curve is the image of the
+    points. An image off ``curve`` (a wrong u) raises InternalError.
+    """
+    big = points[0].ctx.base
+    E = curve.over(big)
+    p = big.p
+    u2, u3 = u * u % p, u * u * u % p
+    out = []
+    for T in points:
+        x = FieldElement(big, tuple(c * u2 % p for c in T.x.coeffs))
+        y = FieldElement(big, tuple(c * u3 % p for c in T.y.coeffs))
+        if y * y != E.rhs(x):
+            raise InternalError(f"image of {T!r} under u = {u} is off {curve!r}")
+        out.append(CurvePoint(E, x, y))
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -533,6 +570,34 @@ def _line_quotient(A: CurvePoint, B: CurvePoint, S: CurvePoint):
     if num.is_zero() or den.is_zero():
         return None
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes over GF(p) (used by search)
+
+def class_key(a: int, b: int, p: int) -> tuple:
+    """Complete invariant of the GF(p)-isomorphism class of the nonsingular
+    curve (a, b), p >= 5, a and b in [0, p).
+
+    The classes are the orbits (a, b) ~ (u^4 a, u^6 b), u in F_p^*. For
+    ab != 0 the orbit is fixed by a^3/b^2 and the square class of b/a
+    (u^2 = (b'/a')/(b/a) then gives a' = u^4 a); for a = 0 (b = 0) it is the
+    coset of b (a) modulo sixth (fourth) powers, read off as a power map.
+    """
+    if a == 0:
+        return (0, pow(b, (p - 1) // gcd(6, p - 1), p))
+    if b == 0:
+        return (1, pow(a, (p - 1) // gcd(4, p - 1), p))
+    return (2, a * a * a * pow(b, -2, p) % p, pow(a * b, (p - 1) // 2, p))  # (ab | p) = (b/a | p)
+
+
+def isomorphism_scalar(a0: int, b0: int, a: int, b: int, p: int) -> int:
+    """The least u in [1, p) with (u^4 a0, u^6 b0) = (a, b) mod p."""
+    for u in range(1, p):
+        u2 = u * u % p
+        if u2 * u2 * a0 % p == a and u2 * u2 * u2 * b0 % p == b:
+            return u
+    raise InternalError(f"({a0}, {b0}) and ({a}, {b}) are not isomorphic over GF({p})")
 
 
 # ---------------------------------------------------------------------------

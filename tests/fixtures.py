@@ -42,3 +42,9 @@ def group(ell: int, case: str) -> galois.GbarGroup:
 
 def full_torsion_groups():
     return [group(3, c) for c in ("full_torsion", "full_torsion_2", "full_torsion_3")]
+
+
+def isomorphism_orbit(a: int, b: int, p: int) -> frozenset:
+    """The GF(p)-isomorphism class of (a, b) as the orbit {(u^4 a, u^6 b): u != 0},
+    marked pair by pair (the reference for ec.class_key)."""
+    return frozenset(((u**4 * a) % p, (u**6 * b) % p) for u in range(1, p))

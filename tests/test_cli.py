@@ -517,6 +517,58 @@ def test_frobenius_inconsistency_exits_4(capsys, monkeypatch, argv):
     assert data["error"]["message"].startswith("InternalError:")
 
 
+def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch):
+    """The rank is computed once per GF(p)-isomorphism class of every scanned
+    prime and E[3] once per class that reports a row; the point count shared
+    by a class is each row's own (p + 1 + a Legendre-symbol sum)."""
+    import fixtures
+    from ellmassey import ec
+
+    calls = {"rank": 0, "torsion": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ec, "rational_torsion_rank", counted("rank", ec.rational_torsion_rank))
+    monkeypatch.setattr(ec, "torsion_points", counted("torsion", ec.torsion_points))
+    code, data = run_json(
+        capsys, "search", "--ell", "3", "--case", "unipotent", "--max-p", "40", "--limit", "1000000"
+    )
+    assert code == 0
+    primes = (7, 13, 19, 31, 37)
+    assert {row["p"] for row in data["rows"]} == set(primes)
+    assert calls["rank"] == sum(2 * p + {1: 6, 7: 4}[p % 12] for p in primes)
+
+    row_classes = {(r["p"], fixtures.isomorphism_orbit(r["a"], r["b"], r["p"])) for r in data["rows"]}
+    assert calls["torsion"] == len(row_classes)
+    for r in data["rows"]:
+        p, a, b = r["p"], r["a"], r["b"]
+        symbols = [pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p)]
+        assert r["points"] == p + 1 + symbols.count(1) - symbols.count(p - 1)
+
+
+def test_search_with_a_wrong_isomorphism_scalar_exits_4_without_rows(capsys, monkeypatch):
+    """A scalar u with u^4 a0 != a moves E[5] of the class's first curve off
+    the row's curve: an InternalError, not a row. The first row, (7, 1, 1),
+    has a != 0, so such a u exists."""
+    from ellmassey import ec
+
+    def wrong(a0, b0, a, b, p):
+        return next(u for u in range(1, p) if (u**4 * a0 - a) % p)
+
+    monkeypatch.setattr(ec, "isomorphism_scalar", wrong)
+    code, data = run_json(
+        capsys, "search", "--ell", "5", "--case", "split", "--max-p", "100", "--limit", "3"
+    )
+    assert code == 4
+    assert data["error"]["message"].startswith("InternalError:")
+    assert "rows" not in data
+
+
 def test_search_rows_do_not_depend_on_seed(capsys):
     args = ("search", "--ell", "3", "--case", "full3", "--max-p", "100", "--limit", "5")
     code1, d1 = run_json(capsys, *args, "--seed", "1")

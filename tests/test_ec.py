@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+import fixtures
 from ellmassey import ec, ff, galois
 from ellmassey.errors import (
     BadCharacteristic,
@@ -448,6 +449,62 @@ def test_rational_torsion_rank_matches_point_count(ell, p, one_b_per_a):
             assert ell ** ec.rational_torsion_rank(c, ell) == _rational_torsion_count(c, ell), (a, b)
             if one_b_per_a:
                 break
+
+
+def _assert_transport_is_direct(p, ell, pairs):
+    """For each pair, the basis from the first curve of its class's E[ell]
+    transported along (x, y) -> (u^2 x, u^3 y) is the one torsion_basis gives."""
+    F = ff.make_field(p, 1)
+    for a, b in pairs:
+        a0, b0 = min(fixtures.isomorphism_orbit(a, b, p))
+        k, points = ec.torsion_points(ec.curve_new(F, a0, b0), ell)
+        curve = ec.curve_new(F, a, b)
+        u = ec.isomorphism_scalar(a0, b0, a, b, p)
+        moved = ec.basis_from_points(k, ec.transport_points(points, curve, u), ell)
+        direct = ec.torsion_basis(curve, ell)
+        for field in ("P", "Q", "k", "table"):
+            assert getattr(moved, field) == getattr(direct, field), (a, b, field)
+        assert ec.frobenius_matrix(moved) == ec.frobenius_matrix(direct), (a, b)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_transported_basis_is_the_direct_basis_l3(p):
+    """Every nonsingular curve, the j = 0 (a = 0) and j = 1728 (b = 0) classes,
+    with their larger automorphism groups, included."""
+    pairs = [(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
+    assert any(a == 0 for a, _ in pairs) and any(b == 0 for _, b in pairs)
+    _assert_transport_is_direct(p, 3, pairs)
+
+
+def test_transported_basis_is_the_direct_basis_l7():
+    """Each class of rank >= 1 at ell = 7 over GF(29): its first curve and its
+    second and last curves in (a, b) order (a direct level-7 basis costs about
+    0.1 s, so not all 112 curves of those classes)."""
+    p = 29
+    F = ff.make_field(p, 1)
+    classes = {}
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p:
+                classes.setdefault(min(fixtures.isomorphism_orbit(a, b, p)), []).append((a, b))
+    pairs = []
+    for rep, members in classes.items():
+        if ec.rational_torsion_rank(ec.curve_new(F, *rep), 7):
+            pairs += {members[0], members[min(1, len(members) - 1)], members[-1]}
+    assert len(pairs) > 10
+    _assert_transport_is_direct(p, 7, sorted(pairs))
+
+
+def test_transport_with_a_wrong_scalar_raises_internal_error():
+    p, a0, b0 = 13, 1, 2
+    F = ff.make_field(p, 1)
+    _, points = ec.torsion_points(ec.curve_new(F, a0, b0), 3)
+    u = 2
+    a, b = (u**4 * a0) % p, (u**6 * b0) % p
+    wrong = next(v for v in range(1, p) if (v**4 * a0 - a) % p)
+    assert ec.transport_points(points, ec.curve_new(F, a, b), u)
+    with pytest.raises(InternalError):
+        ec.transport_points(points, ec.curve_new(F, a, b), wrong)
 
 
 def test_frobenius_inconsistency_raises_internal_error(monkeypatch):

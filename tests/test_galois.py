@@ -125,8 +125,22 @@ def _isomorphism_classes(p):
     seen = set()
     for a, b in itertools.product(range(p), repeat=2):
         if (4 * a**3 + 27 * b**2) % p and (a, b) not in seen:
-            seen.update(((u**4 * a) % p, (u**6 * b) % p) for u in range(1, p))
+            seen.update(fixtures.isomorphism_orbit(a, b, p))
             yield a, b
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 80) if ff.is_prime(p)])
+def test_class_key_is_a_complete_isomorphism_invariant(p):
+    """ec.class_key splits the nonsingular pairs into exactly the orbits the
+    reference marks, and there are 2p + 6, 2p + 2, 2p + 4, 2p of them for
+    p = 1, 5, 7, 11 mod 12."""
+    orbits = {fixtures.isomorphism_orbit(a, b, p) for a, b in _isomorphism_classes(p)}
+    by_key = {}
+    for a, b in itertools.product(range(p), repeat=2):
+        if (4 * a**3 + 27 * b**2) % p:
+            by_key.setdefault(ec.class_key(a, b, p), set()).add((a, b))
+    assert {frozenset(v) for v in by_key.values()} == orbits
+    assert len(by_key) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
 
 
 def test_case_from_rank_matches_classify_case_on_small_fields():

@@ -1,9 +1,10 @@
 """Stdout identity: each command's exit code and stdout sha256 are pinned.
 
 The timing field ``"elapsed_ms": N`` is blanked before hashing; every other
-byte of stdout is part of the contract. The hashes were recorded before the
-Frobenius action became a plain matrix, so a refactor that changes any
-output byte fails here. To print the table for the current code, run
+byte of stdout is part of the contract. The first 17 hashes were recorded before
+the Frobenius action became a plain matrix, and the last six searches
+before search began to work once per isomorphism class, so a refactor that
+changes any output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -38,6 +39,12 @@ GOLDEN = (
     ("search --ell 3 --case unipotent --max-p 100 --format csv", 0, "17e033257eda76953d411ad2be666e95f5188be28981af78bd055edfc6eeaf1f"),
     ("search --ell 5 --case split --max-p 100", 0, "00d3a83af81c405bec7054d4dee95eb633cca00a62b98d148aab2b08443a0ce5"),
     ("search --ell 7 --case split --max-p 100", 0, "cd87d9fccfc42d39cea77674780c7a6802a1665b14fa430ddb5c0ed3345c9063"),
+    ("search --ell 3 --case full3 --max-p 2000 --limit 80", 0, "91897c30b5a36a8dc6f48335e34f4c25bb3b444d5fffb2e6a8f3a4d7352f6374"),
+    ("search --ell 3 --case unipotent --max-p 2000 --limit 30", 0, "48bc09bc7be0302c60f8832e1c5b13d79d8ab317494a7bb153b69d4bf7753cc2"),
+    ("search --ell 5 --case split --max-p 2000 --limit 20", 0, "a3770dd6fe9dcee4eb888f56f67ce86bc2b791e193624e69493ec75391cf957d"),
+    ("search --ell 3 --case full3 --max-p 2000 --limit 400 --format csv", 0, "a5c49968cb4b99990daad06ce24396abaaec22456c08e0c0a4f41d73300ca2b4"),
+    ("search --ell 5 --case unipotent --max-p 2000 --limit 200", 0, "ce5855ee476e2cc5045737975198e12a2f86078da92fff50493ddcde6fac339f"),
+    ("search --ell 7 --case unipotent --max-p 60 --limit 100", 0, "47db3d9b2ed2504dd31e11bf76b7adadab78849b910af6801776e0a0b33712de"),
 )
 
 
