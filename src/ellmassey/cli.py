@@ -109,7 +109,9 @@ def cmd_search(args) -> int:
         if args.case == "split" and p % ell == 1:
             continue
         base = ff.make_field(p, 1)
-        classes = {}  # class key -> the representative's facts, or None if its case is not wanted
+        # class key -> (a0, b0, rank, (k, E[l] - {O}), #E) of the representative,
+        # the class's first pair and so its first row; None if its case is not wanted
+        classes = {}
         for a, b in itertools.product(range(p), repeat=2):
             if (4 * a**3 + 27 * b * b) % p == 0:
                 continue
@@ -118,21 +120,17 @@ def cmd_search(args) -> int:
                 rep = ec.curve_new(base, a, b)
                 rank = ec.rational_torsion_rank(rep, ell)
                 hit = galois.case_from_rank(rank, p, ell) is wanted
-                classes[key] = {"rep": rep, "ab": (a, b), "rank": rank, "torsion": None} if hit else None
-            cls = classes[key]
-            if cls is None:
+                classes[key] = (a, b, rank, ec.torsion_points(rep, ell), ec.count_points(rep)) if hit else None
+            if classes[key] is None:
                 continue
-            if cls["torsion"] is None:
-                cls["torsion"] = ec.torsion_points(cls["rep"], ell)
-                cls["points"] = ec.count_points(cls["rep"])
-            k, points = cls["torsion"]
-            u = ec.isomorphism_scalar(*cls["ab"], a, b, p)
+            a0, b0, rank, (k, points), count = classes[key]
+            u = ec.isomorphism_scalar(a0, b0, a, b, p)
             curve = ec.curve_new(base, a, b)
             A = ec.frobenius_matrix(ec.basis_from_points(k, ec.transport_points(points, curve, u), ell))
             case = galois.classify_case(A, ell)
             if case is not wanted:
                 raise CaseMismatch(
-                    f"p={p} a={a} b={b}: rank {cls['rank']} at ell={ell} but Frobenius case {case.value}"
+                    f"p={p} a={a} b={b}: rank {rank} at ell={ell} but Frobenius case {case.value}"
                 )
             rows.append(
                 {
@@ -140,7 +138,7 @@ def cmd_search(args) -> int:
                     "a": a,
                     "b": b,
                     "frobenius_matrix": _matrix_to_json(A),
-                    "points": cls["points"],
+                    "points": count,
                 }
             )
             if len(rows) >= args.limit:
@@ -244,8 +242,7 @@ def _report_matrices(curve, group):
     the field the report would build: at most twice that of the x-coordinates.
     """
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
-        An = group.context["normalized_action"]
-        return tuple(tuple(v % group.ell for v in row) for row in An), An
+        return tuple(tuple(v % group.ell for v in row) for row in group.action), group.action
     _, factors = ec._torsion_field_degree(curve, group.ell)
     if curve.base.k * 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
         return None, None

@@ -3,8 +3,8 @@
 Provides the affine group law, exhaustive point counting, odd division
 polynomials, deterministic n-torsion bases over the minimal extension field,
 the transport of torsion points along a GF(p)-isomorphism, the Frobenius
-matrix on a torsion basis, and the Weil pairing via Miller's algorithm with
-shifted evaluation.
+matrix on a torsion basis, and the Weil pairing by Miller's formula
+e_n(P, Q) = (-1)^n f_P(Q) / f_Q(P).
 
 Division polynomials follow the y-normalized convention: the cached
 polynomial for even index m is psi_m / y, so every entry is univariate in x
@@ -14,7 +14,6 @@ once y^2 = x^3 + ax + b is substituted.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -30,7 +29,7 @@ from .errors import (
     SingularCurve,
     UnsupportedLevel,
 )
-from .ff import DEFAULT_SEED, ExtField, FieldElement
+from .ff import ExtField, FieldElement
 
 POINT_COUNT_CAP = 50021
 SUPPORTED_ELLS = (3, 5, 7)
@@ -483,54 +482,45 @@ def frobenius_matrix(basis: TorsionBasis):
 def weil_pairing(P: CurvePoint, Q: CurvePoint, n: int) -> FieldElement:
     """Weil pairing e_n(P, Q), an n-th root of unity in the points' field.
 
-    Uses Miller functions with divisors n(P) - n(O) and n(Q) - n(O), the
-    second one translated by an auxiliary point R so the supports are
-    disjoint; degenerate line evaluations trigger a deterministic retry
-    with the next R drawn from the fixed ``DEFAULT_SEED`` stream.
+    The pairing is alternating, so it is 1 when one point is a multiple of
+    the other (O and P = Q included). Otherwise Miller's formula gives
+    e_n(P, Q) = (-1)^n f_P(Q) / f_Q(P), with f_T the normalized function of
+    divisor n(T) - n(O) (V. S. Miller, J. Cryptology 17, 2004).
     """
     if P.ctx != Q.ctx:
         raise FieldMismatch("pairing arguments on different curves or fields")
-    E = P.ctx
-    F = E.base
-    if not scalar_mul(n, P).is_infinity or not scalar_mul(n, Q).is_infinity:
+    span_P, span_Q = _multiple_keys(P, n), _multiple_keys(Q, n)
+    if span_P is None or span_Q is None:
         raise NotTorsion(f"arguments are not {n}-torsion points")
-    if P.is_infinity or Q.is_infinity:
+    F = P.ctx.base
+    if Q.key() in span_P or P.key() in span_Q:
         return F.one
-    rng = random.Random(DEFAULT_SEED)
-    for _ in range(256):
-        R = _random_point(E, rng)
-        if R is None or R.is_infinity:
-            continue
-        vals = (
-            _miller(P, point_add(Q, R), n),
-            _miller(P, R, n),
-            _miller(Q, point_add(P, -R), n),
-            _miller(Q, -R, n),
-        )
-        if any(v is None for v in vals):
-            continue
-        f1_num, f1_den, f2_den, f2_num = vals
-        result = (f1_num * f2_num) / (f1_den * f2_den)
-        if result**n != F.one:
-            raise InternalError(f"Weil pairing value {result!r} is not an {n}-th root of unity")
-        return result
-    raise NotTorsion("pairing evaluation kept degenerating")  # pragma: no cover
+    f_PQ, f_QP = _miller(P, Q, n), _miller(Q, P, n)
+    if f_PQ is None or f_QP is None:
+        raise InternalError(f"Miller evaluation of independent points {P!r}, {Q!r} met a zero or pole")
+    result = f_PQ / f_QP * (-1) ** n
+    if result**n != F.one:
+        raise InternalError(f"Weil pairing value {result!r} is not an {n}-th root of unity")
+    return result
 
 
-def _random_point(E: Curve, rng) -> CurvePoint | None:
-    F = E.base
-    x = FieldElement(F, tuple(rng.randrange(F.p) for _ in range(F.k)))
-    flip = rng.randrange(2)  # drawn unconditionally to keep the stream aligned
-    y = ff.sqrt_in_field(E.rhs(x))
-    if y is None:
-        return None
-    return CurvePoint(E, x, -y if flip else y)
+def _multiple_keys(P: CurvePoint, n: int):
+    """Keys of the multiples iP, 0 <= i < n, or None unless nP = O."""
+    keys = set()
+    T = P.ctx.infinity()
+    for _ in range(n):
+        keys.add(T.key())
+        T = point_add(T, P)
+    return keys if T.is_infinity else None
 
 
 def _miller(P: CurvePoint, S: CurvePoint, n: int):
-    """f_{n,P}(S) with divisor n(P) - n(O); None when the evaluation degenerates."""
-    if S.is_infinity or S == P:
-        return None
+    """f_{n,P}(S) with divisor n(P) - n(O), for S outside <P>; None when an
+    evaluation meets a zero or a pole.
+
+    For n in TORSION_LEVELS and nP = O no multiple of P reached before the
+    last step is O, so every line joins two affine points.
+    """
     f = P.ctx.base.one
     V = P
     for bit in bin(n)[3:]:
@@ -549,14 +539,8 @@ def _miller(P: CurvePoint, S: CurvePoint, n: int):
 
 
 def _line_quotient(A: CurvePoint, B: CurvePoint, S: CurvePoint):
-    """Value at S of line(A,B) / vertical(A+B); None on a zero or pole."""
+    """Value at S of line(A,B) / vertical(A+B) for affine A, B; None on a zero or pole."""
     ctx = A.ctx
-    if A.is_infinity or B.is_infinity:
-        other = B if A.is_infinity else A
-        if other.is_infinity:
-            return ctx.base.one
-        val = S.x - other.x
-        return None if val.is_zero() else val
     if A.x == B.x and A.y == -B.y:
         val = S.x - A.x  # vertical line; A + B = O has no vertical denominator
         return None if val.is_zero() else val

@@ -14,10 +14,10 @@ Frobenius action mod l:
                    invertible here)
 
 Every element has the normal form (torsion vector, phi exponent), with
-(t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2); a group keeps its torsion
-orders and xi, not its elements. The relation set derived here is the
-single source of truth consumed by both the character enumeration and the
-lifting oracle.
+(t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2); a group keeps its case and
+the normalized action of phi, not its elements. The relation set derived
+here is the single source of truth consumed by both the character
+enumeration and the lifting oracle.
 """
 
 from __future__ import annotations
@@ -164,33 +164,38 @@ def _build_relations(n_torsion: int, orders, xi, lprime, has_phi: bool):
 # ---------------------------------------------------------------------------
 # the group
 
+_GEN_NAMES = {
+    GaloisCase.FULL_TORSION: ("m1", "m2", "phi"),
+    GaloisCase.SPLIT_LINE: ("m", "phi"),
+    GaloisCase.UNIPOTENT_LINE: ("mprime", "m", "phi"),
+    GaloisCase.NO_FIXED_POINTS: ("phi",),
+}
+
+
 class GbarGroup:
     """Finite quotient Tbar x| <phi> with phi of order l'.
 
-    ``xi`` is the action matrix of phi on the torsion generators (columns are
-    images, entries mod l'); rank 0 means the torsion part is trivial.
+    ``action`` is the level-l' Frobenius matrix in the normalized basis (the
+    raw one for full torsion), None when no line is fixed. The generators,
+    torsion orders and ``xi``, the action of phi on the torsion generators
+    (columns are images, entries mod l'), follow from the case: ``xi`` is the
+    action, its (0, 0) entry on the cyclic split-line torsion, or empty.
     ``constants`` holds the normalized-basis invariants (alpha, beta, gamma,
     delta, c) where the construction defines them.
     """
 
-    def __init__(self, ell, case, torsion_orders, xi, constants=None, context=None):
+    def __init__(self, ell, case, action=None, constants=None):
         self.ell = ell
         self.ell_prime = ell_prime(ell)
         self.case = case
-        self.torsion_orders = tuple(torsion_orders)
-        self.xi = tuple(tuple(row) for row in xi)
+        self.action = action
         self.constants = constants
-        self.context = context or {}
-        rank = len(self.torsion_orders)
-        if case is GaloisCase.UNIPOTENT_LINE:
-            names: tuple[str, ...] = ("mprime", "m", "phi")
-        elif rank == 2:
-            names = ("m1", "m2", "phi")
-        elif rank == 1:
-            names = ("m", "phi")
+        self.gen_names = _GEN_NAMES[case]
+        self.torsion_orders = (self.ell_prime,) * (len(self.gen_names) - 1)
+        if case is GaloisCase.SPLIT_LINE:
+            self.xi = ((action[0][0],),)
         else:
-            names = ("phi",)
-        self.gen_names = names
+            self.xi = () if action is None else action
         self._characters = None
         self._presentation = None
         self._torsion_presentation = None
@@ -258,7 +263,7 @@ class Character:
         self.values = tuple(v % group.ell for v in values)
         if len(self.values) != len(group.gen_names):
             raise GroupMismatch("character values do not match the generator list")
-        if not character_values_valid(group.presentation(), self.values):
+        if not character_values_valid(group.presentation(), self.values, group.ell):
             raise GroupMismatch(f"values {self.values} do not define a character")
 
     def on_phi(self) -> int:
@@ -291,11 +296,10 @@ def char_word_value(values, word: Word, ell: int) -> int:
     return sum(e * values[g] for g, e in word) % ell
 
 
-def character_values_valid(pres: Presentation, values) -> bool:
-    """True iff the value assignment respects every defining relation mod l."""
-    ell = pres.ell
+def character_values_valid(pres: Presentation, values, n: int) -> bool:
+    """True iff the value assignment respects every defining relation mod n."""
     return all(
-        char_word_value(values, rel.lhs, ell) == char_word_value(values, rel.rhs, ell)
+        char_word_value(values, rel.lhs, n) == char_word_value(values, rel.rhs, n)
         for rel in pres.relations
     )
 
@@ -305,7 +309,7 @@ def enumerate_characters(g: GbarGroup) -> list[Character]:
     pres = g.presentation()
     out = []
     for values in itertools.product(range(g.ell), repeat=len(g.gen_names)):
-        if character_values_valid(pres, values):
+        if character_values_valid(pres, values, g.ell):
             out.append(Character(g, values))
     return out
 
@@ -346,7 +350,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     case = case_from_rank(ec.rational_torsion_rank(curve, ell), q, ell)
 
     if case is GaloisCase.NO_FIXED_POINTS:
-        return GbarGroup(ell, case, (), (), constants=None, context={"q": q})
+        return GbarGroup(ell, case)
 
     basis = ec.torsion_basis(curve, lp)
     A = ec.frobenius_matrix(basis)
@@ -354,14 +358,24 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     if case is GaloisCase.FULL_TORSION:
         if mat_sub(A, mat_id(), ell) != ((0, 0), (0, 0)):
             raise CaseMismatch("full torsion case but phi is not trivial mod l")
-        ctx = {"q": q, "action": A, "normalized_action": A}
-        return GbarGroup(ell, case, (lp, lp), A, constants=None, context=ctx)
+        return GbarGroup(ell, case, A)
 
+    # the normalized basis: (mprime, m) for a unipotent line, eigenvectors
+    # (v1, v2) for eigenvalues (1, q) mod l on a split one
     if case is GaloisCase.UNIPOTENT_LINE:
         m_vec = _first_moved_vector(basis, A, ell)
         mp_vec = mat_apply(mat_sub(A, mat_id(), lp), m_vec, lp)
         T = ((mp_vec[0], m_vec[0]), (mp_vec[1], m_vec[1]))
-        An = mat_mul(mat_inv(T, lp), mat_mul(A, T, lp), lp)
+    else:
+        eps = q % ell
+        v1 = _first_eigenvector(A, 1, ell)
+        v2 = _first_eigenvector(A, eps, ell)
+        if v1 is None or v2 is None:
+            raise CaseMismatch("split case but eigenvectors not found mod l")
+        T = ((v1[0], v2[0]), (v1[1], v2[1]))
+    An = mat_mul(mat_inv(T, lp), mat_mul(A, T, lp), lp)
+
+    if case is GaloisCase.UNIPOTENT_LINE:
         if An[0][1] != 1 % lp or An[1][1] != 1 % lp:
             raise CaseMismatch("unipotent normalization failed")
         alpha, rem_a = divmod((An[0][0] - 1) % lp, ell)
@@ -370,17 +384,8 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
             raise CaseMismatch("unipotent action entries not congruent to identity mod l")
         constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0,
                      "c": gamma if ell == 3 else 0}
-        ctx = {"q": q, "action": A, "normalized_action": An}
-        return GbarGroup(ell, case, (lp, lp), An, constants=constants, context=ctx)
+        return GbarGroup(ell, case, An, constants)
 
-    # split line
-    eps = q % ell
-    v1 = _first_eigenvector(A, 1, ell)
-    v2 = _first_eigenvector(A, eps, ell)
-    if v1 is None or v2 is None:
-        raise CaseMismatch("split case but eigenvectors not found mod l")
-    S = ((v1[0], v2[0]), (v1[1], v2[1]))
-    An = mat_mul(mat_inv(S, lp), mat_mul(A, S, lp), lp)
     if mat_sub(An, ((1, 0), (0, eps)), ell) != ((0, 0), (0, 0)):
         raise CaseMismatch("split normalization failed")
     # the scalar An[0][0] is 1 + 3*alpha mod 9 at l = 3, and 1 at l > 3
@@ -389,8 +394,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
                      "delta": (An[1][1] - 2) // 3, "c": None}
     else:
         constants = {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
-    ctx = {"q": q, "action": A, "normalized_action": An}
-    return GbarGroup(ell, case, (lp,), ((An[0][0],),), constants=constants, context=ctx)
+    return GbarGroup(ell, case, An, constants)
 
 
 def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int):

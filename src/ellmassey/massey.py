@@ -34,6 +34,7 @@ vector, the lexicographically first order-9 vector a of ker(chi):
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from enum import Enum
 from functools import cache
@@ -44,7 +45,7 @@ from .galois import (
     Character,
     GaloisCase,
     GbarGroup,
-    char_word_value,
+    character_values_valid,
     check_group,
     mat_apply,
     mat_det,
@@ -176,34 +177,17 @@ def _in_cyclic_span(w, v) -> bool:
 # Bockstein consistency
 
 def bockstein_vanishes(chi: Character, g: GbarGroup) -> bool:
-    """True iff chi lifts to a Z/9-valued character of the group.
-
-    Searches all lifts of the generator values (three choices each) and
-    checks every defining relation additively mod 9.
-    """
+    """True iff chi lifts to a Z/9-valued character of the group: some lift
+    v + 3t of its generator values (t in {0, 1, 2} each) satisfies every
+    defining relation mod 9."""
     check_group(g, chi)
     if g.ell != 3:
         raise WrongPrime("the Bockstein check is defined at ell = 3")
     pres = g.presentation()
-    n = len(g.gen_names)
-
-    def ok(values) -> bool:
-        return all(
-            char_word_value(values, rel.lhs, 9) == char_word_value(values, rel.rhs, 9)
-            for rel in pres.relations
-        )
-
-    def search(idx: int, values: list) -> bool:
-        if idx == n:
-            return ok(values)
-        for t in range(3):
-            values.append((chi.values[idx] + 3 * t) % 9)
-            if search(idx + 1, values):
-                return True
-            values.pop()
-        return False
-
-    return search(0, [])
+    return any(
+        character_values_valid(pres, [v + 3 * t for v, t in zip(chi.values, lift)], 9)
+        for lift in itertools.product(range(3), repeat=len(chi.values))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Curve construction, group law, counting, torsion bases, Frobenius, Weil."""
 
+import hashlib
 import random
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -367,6 +369,53 @@ def test_weil_pairing_not_torsion():
     P = pts[0]
     with pytest.raises(NotTorsion):
         ec.weil_pairing(P, P, 5)  # 5 does not divide the order 9 group
+
+
+# Exact pairing values, recorded before the pairing became Miller's formula.
+# The bilinear, alternating and Frobenius tests above hold for e and for
+# 1/e alike; these values also pin the sign (-1)^n and the orientation.
+# (p, a, b, n) -> coefficients of e_n(P, Q) on the torsion basis.
+GOLDEN_PAIRINGS = {
+    (7, 0, 2, 9): (0, 5, 0),
+    (7, 0, 2, 3): (4,),
+    (13, 0, 3, 9): (0, 0, 4),
+    (19, 0, 5, 9): (4, 0, 0),
+    (11, 1, 7, 5): (3, 0, 0, 0, 0),
+    (31, 0, 11, 5): (8,),
+    (23, 1, 1, 7): (20, 22, 14),
+    (29, 1, 7, 7): (25, 0, 0, 0, 0, 0, 0),
+}
+# sha256 over 6 seeded ordered pairs (iP + jQ, i'P + j'Q) per curve above
+GOLDEN_PAIRING_SAMPLE = "a87fae0ade0118c14530479feedeadc5c23cb30e4728b7af306a9e396b3a60ff"
+
+
+@lru_cache(maxsize=None)
+def _pairing_basis(p, a, b, n):
+    return ec.torsion_basis(ec.curve_new(ff.make_field(p, 1), a, b), n)
+
+
+def pairing_sample_digest():
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    for p, a, b, n in GOLDEN_PAIRINGS:
+        basis = _pairing_basis(p, a, b, n)
+        for _ in range(6):
+            i, j, i2, j2 = (rng.randrange(n) for _ in range(4))
+            S = ec.point_add(ec.scalar_mul(i, basis.P), ec.scalar_mul(j, basis.Q))
+            T = ec.point_add(ec.scalar_mul(i2, basis.P), ec.scalar_mul(j2, basis.Q))
+            value = ec.weil_pairing(S, T, n).coeffs
+            digest.update(repr((p, a, b, n, i, j, i2, j2, value)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("curve_level", list(GOLDEN_PAIRINGS), ids=str)
+def test_weil_pairing_golden_basis_values(curve_level):
+    basis = _pairing_basis(*curve_level)
+    assert ec.weil_pairing(basis.P, basis.Q, basis.n).coeffs == GOLDEN_PAIRINGS[curve_level]
+
+
+def test_weil_pairing_golden_sample():
+    assert pairing_sample_digest() == GOLDEN_PAIRING_SAMPLE
 
 
 def test_division_polynomial_vanishes_exactly_on_torsion_x():

@@ -176,7 +176,7 @@ def test_split_line_alpha_matches_literal_quotient():
     """Independent derivation: alpha is the scalar by which Frobenius acts on
     the quotient of the 9-torsion by the image of (phi^9 - 1)."""
     g = fixtures.group(3, "split_line")
-    A = g.context["action"]  # raw (un-normalized) level-9 matrix
+    A = ec.frobenius_matrix(ec.torsion_basis(fixtures.curve(3, "split_line"), 9))  # raw level-9 matrix
     A9 = A
     P = A
     for _ in range(8):
@@ -227,14 +227,14 @@ def test_unipotent_action_shape():
         else:
             assert cst["c"] == cst["gamma"]
         # the normalized matrix still has determinant q mod l'
-        assert galois.mat_det(g.xi, lp) == g.context["q"] % lp
+        assert galois.mat_det(g.xi, lp) == fixtures.curve(ell, "unipotent_line").base.order % lp
 
 
 def test_unipotent_c_is_basis_invariant():
     # recompute c from any other admissible m: (phi-1)^2 m = 3c m mod <3(phi-1)m>
     g = fixtures.group(3, "unipotent_line")
     lp = 9
-    A = g.context["normalized_action"]
+    A = g.action
     AmI = galois.mat_sub(A, galois.mat_id(), lp)
     sq = galois.mat_mul(AmI, AmI, lp)
     c = g.constants["c"]

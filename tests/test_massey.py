@@ -146,13 +146,7 @@ def test_unipotent_same_character_contains_zero():
 def test_full_torsion_scalar_action_all_contain_zero():
     # a synthetic group whose level-9 action is the scalar 4: every kernel
     # line is preserved, so no witness vector can exist
-    g = galois.GbarGroup(
-        3,
-        galois.GaloisCase.FULL_TORSION,
-        (9, 9),
-        ((4, 0), (0, 4)),
-        context={"q": 4},
-    )
+    g = galois.GbarGroup(3, galois.GaloisCase.FULL_TORSION, ((4, 0), (0, 4)))
     for t in itertools.product(g.characters(), repeat=3):
         v = triple_verdict(*t, g)
         assert v.status is not VerdictStatus.NON_VANISHING
@@ -447,7 +441,7 @@ def test_thm52_agrees_with_oracle_on_matching_group():
     verdict the concrete engine and oracle give for <chi, chi, chi>."""
     for name in ("full_torsion", "full_torsion_2"):
         g = fixtures.group(3, name)
-        q = g.context["q"]
+        q = fixtures.curve(3, name).base.order
         dets = {galois.mat_det(g.xi, 9)}
         ninth = dets == {1} and q % 9 == 1
         for chi in g.characters():

@@ -83,3 +83,18 @@ def test_closed_forms_are_independent_of_the_oracle():
             if (node.module or "").split(".")[-1] == "oracle" or "oracle" in {a.name for a in node.names}:
                 bad.append(f"oracle from {node.module or '.'}")
     assert bad == []
+
+
+def test_ec_draws_no_random_stream():
+    """ec is deterministic without a seed: it imports neither random nor
+    ff.DEFAULT_SEED (the Weil pairing needs no auxiliary point)."""
+    path = Path(ellmassey.__file__).parent / "ec.py"
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names if a.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "random":
+                bad.append(f"from {node.module}")
+            bad += [a.name for a in node.names if a.name in ("random", "DEFAULT_SEED")]
+    assert bad == []
