@@ -2,9 +2,11 @@
 
 The timing field ``"elapsed_ms": N`` is blanked before hashing; every other
 byte of stdout is part of the contract. The first 17 hashes were recorded before
-the Frobenius action became a plain matrix, and the last six searches
-before search began to work once per isomorphism class, so a refactor that
-changes any output byte fails here. To print the table for the current code, run
+the Frobenius action became a plain matrix, the next six searches before
+search began to work once per isomorphism class, and the last four
+searches, which print every row they find, before each row's matrix was
+read off its class by a change of basis. So a refactor that changes any
+output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -45,6 +47,10 @@ GOLDEN = (
     ("search --ell 3 --case full3 --max-p 2000 --limit 400 --format csv", 0, "a5c49968cb4b99990daad06ce24396abaaec22456c08e0c0a4f41d73300ca2b4"),
     ("search --ell 5 --case unipotent --max-p 2000 --limit 200", 0, "ce5855ee476e2cc5045737975198e12a2f86078da92fff50493ddcde6fac339f"),
     ("search --ell 7 --case unipotent --max-p 60 --limit 100", 0, "47db3d9b2ed2504dd31e11bf76b7adadab78849b910af6801776e0a0b33712de"),
+    ("search --ell 5 --case split --max-p 30 --limit 100000", 0, "10f21df6de3f771a54832a337ae660efcd05e765103926e99e81512a161b4444"),
+    ("search --ell 3 --case split --max-p 40 --limit 100000 --format csv", 0, "0be7d4fda9ce643ea831253f8e1166a138444f9ea4de800fbeacf2339d022ab1"),
+    ("search --ell 7 --case split --max-p 20 --limit 100000", 0, "ed683d795055c71e3ffd770de3298e97e87ca8e3ef532d2b6420de47ec09b149"),
+    ("search --ell 5 --case unipotent --max-p 41 --limit 100000", 0, "6620770fcc79617e96f944cb16ba82c441da5082ce931d172ef44c0d005aed3a"),
 )
 
 
