@@ -85,7 +85,7 @@ def _iter_primes(lo, hi):
 
 
 def cmd_search(args) -> int:
-    """Rank, #E(F_p) and E[l] once per GF(p)-isomorphism class (ec.class_key), moved to each row."""
+    """Rank, #E(F_p) and E[l] once per GF(p)-isomorphism class (ec.class_key); rows by conjugation."""
     ell = args.ell
     if ell not in ec.SUPPORTED_ELLS:
         raise InputError("--ell must be 3, 5 or 7")
@@ -109,8 +109,8 @@ def cmd_search(args) -> int:
         if args.case == "split" and p % ell == 1:
             continue
         base = ff.make_field(p, 1)
-        # class key -> (a0, b0, rank, (k, E[l] - {O}), #E) of the representative,
-        # the class's first pair and so its first row; None if its case is not wanted
+        # class key -> (a0, b0, rank, E[l] basis, its matrix, #E) of the class's first
+        # pair and so its first row; None if its case is not wanted
         classes = {}
         for a, b in itertools.product(range(p), repeat=2):
             if (4 * a**3 + 27 * b * b) % p == 0:
@@ -120,13 +120,15 @@ def cmd_search(args) -> int:
                 rep = ec.curve_new(base, a, b)
                 rank = ec.rational_torsion_rank(rep, ell)
                 hit = galois.case_from_rank(rank, p, ell) is wanted
-                classes[key] = (a, b, rank, ec.torsion_points(rep, ell), ec.count_points(rep)) if hit else None
+                basis = ec.torsion_basis(rep, ell) if hit else None
+                classes[key] = (a, b, rank, basis, ec.frobenius_matrix(basis), ec.count_points(rep)) if hit else None
             if classes[key] is None:
                 continue
-            a0, b0, rank, (k, points), count = classes[key]
+            a0, b0, rank, basis, A0, count = classes[key]
             u = ec.isomorphism_scalar(a0, b0, a, b, p)
-            curve = ec.curve_new(base, a, b)
-            A = ec.frobenius_matrix(ec.basis_from_points(k, ec.transport_points(points, curve, u), ell))
+            if (u**4 * a0 - a) % p or (u**6 * b0 - b) % p:
+                raise InternalError(f"u = {u} does not carry ({a0}, {b0}) to ({a}, {b}) over GF({p})")
+            A = galois.transported_matrix(basis, A0, u)
             case = galois.classify_case(A, ell)
             if case is not wanted:
                 raise CaseMismatch(
@@ -238,13 +240,15 @@ def _report_matrices(curve, group):
 
     The degenerate case has no torsion part; its level-l matrix is computed
     directly when the torsion field is small enough, else reported as null.
-    The cap is on the degree over GF(p), not over the curve's base field, of
-    the field the report would build: at most twice that of the x-coordinates.
+    Two caps bound the field the report would build: its degree over GF(p),
+    not over the curve's base field (at most twice that of the
+    x-coordinates), and its order (ff.MAX_FIELD_ORDER).
     """
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
         return tuple(tuple(v % group.ell for v in row) for row in group.action), group.action
     _, factors = ec._torsion_field_degree(curve, group.ell)
-    if curve.base.k * 2 * math.lcm(*(d for d, _ in factors)) > NO_FIXED_POINTS_REPORT_DEGREE_CAP:
+    degree = curve.base.k * 2 * math.lcm(*(d for d, _ in factors))
+    if degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP or curve.base.p**degree > ff.MAX_FIELD_ORDER:
         return None, None
     A = ec.frobenius_matrix(ec.torsion_basis(curve, group.ell))
     return A, A if group.ell == group.ell_prime else None

@@ -2,9 +2,8 @@
 
 Provides the affine group law, exhaustive point counting, odd division
 polynomials, deterministic n-torsion bases over the minimal extension field,
-the transport of torsion points along a GF(p)-isomorphism, the Frobenius
-matrix on a torsion basis, and the Weil pairing by Miller's formula
-e_n(P, Q) = (-1)^n f_P(Q) / f_Q(P).
+the Frobenius matrix on a torsion basis, and the Weil pairing by Miller's
+formula e_n(P, Q) = (-1)^n f_P(Q) / f_Q(P).
 
 Division polynomials follow the y-normalized convention: the cached
 polynomial for even index m is psi_m / y, so every entry is univariate in x
@@ -325,18 +324,15 @@ def _division_raw(curve: Curve, n: int) -> list:
 # torsion bases
 
 def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
-    """Deterministic basis of E[n] over the least extension containing it:
-    ``basis_from_points`` of ``torsion_points``."""
-    return basis_from_points(*torsion_points(curve, n), n)
+    """Deterministic basis of E[n] over the least extension containing it.
 
-
-def torsion_points(curve: Curve, n: int):
-    """(k, points): the least k with E[n] rational over the degree-k extension
-    of the base, and the n^2 - 1 nonzero points of E[n] on the curve over it.
-
-    k comes from the factor degrees of psi_n over the base (all
-    x-coordinates rational over the lcm; one quadratic doubling if some
-    y-coordinate needs it).
+    The torsion field degree comes from the factor degrees of psi_n over the
+    base (all x-coordinates rational over the lcm; one quadratic doubling if
+    some y-coordinate needs it). All n^2 - 1 nonzero points are materialized
+    and sorted. As E[n] = (Z/n)^2 for n a power of the prime l, T has order n
+    iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off the line
+    <(n/l)P>. So P is the first point with (n/l)P != O and Q the first point
+    off that line. The basis carries its coordinate table {iP + jQ: (i, j)}.
     """
     if n not in TORSION_LEVELS:
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
@@ -346,21 +342,10 @@ def torsion_points(curve: Curve, n: int):
     if curve.base.k * k > ff.MAX_EXT_DEGREE:
         raise ExtensionCapExceeded(f"torsion field degree {curve.base.k * k} exceeds cap")
     big = ff.make_field(curve.base.p, curve.base.k * k)
-    return k, _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
-
-
-def basis_from_points(k: int, points: list[CurvePoint], n: int) -> TorsionBasis:
-    """The canonical basis of E[n] given its n^2 - 1 nonzero points.
-
-    The points are sorted. As E[n] = (Z/n)^2 for n a power of the prime l,
-    T has order n iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off
-    the line <(n/l)P>. So P is the first point with (n/l)P != O and Q the
-    first point off that line. The basis carries its coordinate table
-    {iP + jQ: (i, j)}.
-    """
+    points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
     if len(points) != n * n - 1:
         raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
-    points = sorted(points, key=CurvePoint.key)
+    points.sort(key=CurvePoint.key)
     ell = 3 if n == 9 else n  # every level is a prime or 9
     h = n // ell
     P = next(T for T in points if not scalar_mul(h, T).is_infinity)
@@ -371,28 +356,6 @@ def basis_from_points(k: int, points: list[CurvePoint], n: int) -> TorsionBasis:
     if len(table) != n * n:
         raise InternalError(f"basis spans {len(table)} points of E[{n}], expected {n * n}")
     return TorsionBasis(n, P, Q, k, table)
-
-
-def transport_points(points: list[CurvePoint], curve: Curve, u: int) -> list[CurvePoint]:
-    """Images of points of y^2 = x^3 + a0 x + b0 under (x, y) -> (u^2 x, u^3 y),
-    on ``curve`` over the points' field.
-
-    For u in F_p^* this is an isomorphism onto the curve (u^4 a0, u^6 b0)
-    (Silverman, AEC III.1), so E[n] - {O} of that curve is the image of the
-    points. An image off ``curve`` (a wrong u) raises InternalError.
-    """
-    big = points[0].ctx.base
-    E = curve.over(big)
-    p = big.p
-    u2, u3 = u * u % p, u * u * u % p
-    out = []
-    for T in points:
-        x = FieldElement(big, tuple(c * u2 % p for c in T.x.coeffs))
-        y = FieldElement(big, tuple(c * u3 % p for c in T.y.coeffs))
-        if y * y != E.rhs(x):
-            raise InternalError(f"image of {T!r} under u = {u} is off {curve!r}")
-        out.append(CurvePoint(E, x, y))
-    return out
 
 
 @lru_cache(maxsize=32)

@@ -47,6 +47,7 @@ from .errors import (
 DEFAULT_SEED = 0xC0FFEE
 
 MAX_EXT_DEGREE = 96
+MAX_FIELD_ORDER = 2**380
 MAX_ROOT_DEGREE = 200
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -408,7 +409,7 @@ def make_field(p: int, k: int) -> ExtField:
         raise NotPrime(f"{p} is not prime")
     if k < 1 or k > MAX_EXT_DEGREE:
         raise DegreeTooLarge(f"extension degree {k} outside 1..{MAX_EXT_DEGREE}")
-    if p**k > 2**380:
+    if p**k > MAX_FIELD_ORDER:
         raise DegreeTooLarge("fields larger than 2^380 elements are unsupported")
     if k == 1:
         return ExtField(p, 1, (0, 1))

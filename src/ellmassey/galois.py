@@ -84,6 +84,11 @@ def mat_inv(A, n):
     )
 
 
+def mat_conj(A, T, n):
+    """T^-1 A T: the matrix A in the basis given by the columns of T."""
+    return mat_mul(mat_inv(T, n), mat_mul(A, T, n), n)
+
+
 def mat_apply(A, v, n):
     return ((A[0][0] * v[0] + A[0][1] * v[1]) % n, (A[1][0] * v[0] + A[1][1] * v[1]) % n)
 
@@ -120,6 +125,28 @@ def case_from_rank(rank: int, q: int, ell: int) -> GaloisCase:
     if rank == 0:
         return GaloisCase.NO_FIXED_POINTS
     return GaloisCase.UNIPOTENT_LINE if q % ell == 1 else GaloisCase.SPLIT_LINE
+
+
+def transported_matrix(basis: ec.TorsionBasis, A0, u: int):
+    """Frobenius matrix of (u^4 a0, u^6 b0) on its own torsion_basis, from
+    the basis of E[l], l prime, of (a0, b0) and its Frobenius matrix A0.
+
+    (x, y) -> (u^2 x, u^3 y) is defined over F_p, so it commutes with
+    Frobenius (Silverman, AEC III.1); it scales the table's coordinate keys,
+    whose sort gives the image's P (the least) and Q (the first off <P>) as
+    columns of M. The matrix on (P, Q) is M^-1 A0 M.
+    """
+    n = basis.n
+    p = basis.P.ctx.base.p
+    u2, u3 = u * u % p, u * u * u % p
+    moved = sorted(
+        (tuple(c * u2 % p for c in key[1]), tuple(c * u3 % p for c in key[2]), vec)
+        for key, vec in basis.table.items()
+        if key != (0,)  # the point at infinity
+    )
+    P = moved[0][2]
+    Q = next(v for _, _, v in moved if (P[0] * v[1] - P[1] * v[0]) % n)
+    return mat_conj(A0, ((P[0], Q[0]), (P[1], Q[1])), n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +400,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
         if v1 is None or v2 is None:
             raise CaseMismatch("split case but eigenvectors not found mod l")
         T = ((v1[0], v2[0]), (v1[1], v2[1]))
-    An = mat_mul(mat_inv(T, lp), mat_mul(A, T, lp), lp)
+    An = mat_conj(A, T, lp)
 
     if case is GaloisCase.UNIPOTENT_LINE:
         if An[0][1] != 1 % lp or An[1][1] != 1 % lp:

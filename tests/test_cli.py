@@ -251,22 +251,26 @@ def test_analyze_no_fixed_points_past_the_degree_cap_reports_null(capsys, monkey
 
 
 def test_analyze_no_fixed_points_past_the_absolute_degree_cap_reports_null(capsys, monkeypatch):
-    # over GF(25) psi_7's factors have lcm 12: 2 * 12 is within the cap, but
-    # the field that doubles them has degree 2 * 2 * 12 = 48 over GF(5), so
-    # both matrices are null and no torsion basis is built
+    # both matrices are null and no torsion basis is built when the field the
+    # report would build is too large, though 2 * lcm is within the cap
     def no_basis(curve, n):
         raise AssertionError("torsion_basis called past the report cap")
 
     monkeypatch.setattr(cli.ec, "torsion_basis", no_basis)
-    code, data = run_json(
-        capsys, "analyze", "--p", "5", "--k0", "2", "--a", "1", "--b", "0", "--ell", "7",
-        "--triples", "same-char",
-    )
-    assert code == 0
-    assert data["case"] == "no_fixed_points"
-    assert data["frobenius_matrix_l"] is None
-    assert data["frobenius_matrix_lprime"] is None
-    assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
+    for curve_args in (
+        # over GF(25) psi_7's factors have lcm 12, and the field that doubles
+        # them has degree 2 * 2 * 12 = 48 over GF(5)
+        ("--p", "5", "--k0", "2", "--a", "1", "--b", "0", "--ell", "7"),
+        # psi_5's factors have lcm 12, and GF(1000003^24) has more than
+        # ff.MAX_FIELD_ORDER elements
+        ("--p", "1000003", "--a", "1", "--b", "1", "--ell", "5"),
+    ):
+        code, data = run_json(capsys, "analyze", *curve_args, "--triples", "same-char")
+        assert code == 0, curve_args
+        assert data["case"] == "no_fixed_points"
+        assert data["frobenius_matrix_l"] is None
+        assert data["frobenius_matrix_lprime"] is None
+        assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
 
 
 def test_analyze_no_fixed_points_over_a_large_prime(capsys):
@@ -519,12 +523,13 @@ def test_frobenius_inconsistency_exits_4(capsys, monkeypatch, argv):
 
 def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch):
     """The rank is computed once per GF(p)-isomorphism class of every scanned
-    prime and E[3] once per class that reports a row; the point count shared
-    by a class is each row's own (p + 1 + a Legendre-symbol sum)."""
+    prime, and the E[3] basis and its Frobenius matrix once per class that
+    reports a row; the point count shared by a class is each row's own
+    (p + 1 + a Legendre-symbol sum)."""
     import fixtures
     from ellmassey import ec
 
-    calls = {"rank": 0, "torsion": 0}
+    calls = {"rank": 0, "basis": 0, "matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -534,7 +539,8 @@ def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch)
         return wrapper
 
     monkeypatch.setattr(ec, "rational_torsion_rank", counted("rank", ec.rational_torsion_rank))
-    monkeypatch.setattr(ec, "torsion_points", counted("torsion", ec.torsion_points))
+    monkeypatch.setattr(ec, "torsion_basis", counted("basis", ec.torsion_basis))
+    monkeypatch.setattr(ec, "frobenius_matrix", counted("matrix", ec.frobenius_matrix))
     code, data = run_json(
         capsys, "search", "--ell", "3", "--case", "unipotent", "--max-p", "40", "--limit", "1000000"
     )
@@ -544,7 +550,7 @@ def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch)
     assert calls["rank"] == sum(2 * p + {1: 6, 7: 4}[p % 12] for p in primes)
 
     row_classes = {(r["p"], fixtures.isomorphism_orbit(r["a"], r["b"], r["p"])) for r in data["rows"]}
-    assert calls["torsion"] == len(row_classes)
+    assert calls["basis"] == calls["matrix"] == len(row_classes)
     for r in data["rows"]:
         p, a, b = r["p"], r["a"], r["b"]
         symbols = [pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p)]
@@ -567,6 +573,24 @@ def test_search_with_a_wrong_isomorphism_scalar_exits_4_without_rows(capsys, mon
     assert code == 4
     assert data["error"]["message"].startswith("InternalError:")
     assert "rows" not in data
+
+
+def test_search_checks_the_isomorphism_scalar_before_the_row_matrix(capsys, monkeypatch):
+    """(u^4 a0 - a, u^6 b0 - b) = (0, 0) mod p is checked before a row's
+    matrix is read off its class: a wrong u names both pairs, and no matrix
+    is transported along it."""
+    from ellmassey import ec, galois
+
+    def no_matrix(basis, A0, u):
+        raise AssertionError("transported_matrix called with a wrong scalar")
+
+    monkeypatch.setattr(ec, "isomorphism_scalar", lambda a0, b0, a, b, p: 2)
+    monkeypatch.setattr(galois, "transported_matrix", no_matrix)
+    code, data = run_json(
+        capsys, "search", "--ell", "5", "--case", "split", "--max-p", "100", "--limit", "3"
+    )
+    assert code == 4
+    assert data["error"]["message"] == "InternalError: u = 2 does not carry (1, 1) to (1, 1) over GF(7)"
 
 
 def test_search_rows_do_not_depend_on_seed(capsys):

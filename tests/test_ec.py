@@ -501,19 +501,22 @@ def test_rational_torsion_rank_matches_point_count(ell, p, one_b_per_a):
 
 
 def _assert_transport_is_direct(p, ell, pairs):
-    """For each pair, the basis from the first curve of its class's E[ell]
-    transported along (x, y) -> (u^2 x, u^3 y) is the one torsion_basis gives."""
+    """For each pair, the matrix read off its class's first curve by
+    transported_matrix, for every u carrying that curve to the pair, is the
+    Frobenius matrix on the pair's own torsion_basis."""
     F = ff.make_field(p, 1)
+    classes = {}
     for a, b in pairs:
         a0, b0 = min(fixtures.isomorphism_orbit(a, b, p))
-        k, points = ec.torsion_points(ec.curve_new(F, a0, b0), ell)
-        curve = ec.curve_new(F, a, b)
-        u = ec.isomorphism_scalar(a0, b0, a, b, p)
-        moved = ec.basis_from_points(k, ec.transport_points(points, curve, u), ell)
-        direct = ec.torsion_basis(curve, ell)
-        for field in ("P", "Q", "k", "table"):
-            assert getattr(moved, field) == getattr(direct, field), (a, b, field)
-        assert ec.frobenius_matrix(moved) == ec.frobenius_matrix(direct), (a, b)
+        if (a0, b0) not in classes:
+            basis = ec.torsion_basis(ec.curve_new(F, a0, b0), ell)
+            classes[a0, b0] = basis, ec.frobenius_matrix(basis)
+        basis, A0 = classes[a0, b0]
+        us = [u for u in range(1, p) if ((u**4 * a0 - a) % p, (u**6 * b0 - b) % p) == (0, 0)]
+        assert ec.isomorphism_scalar(a0, b0, a, b, p) == us[0]
+        direct = ec.frobenius_matrix(ec.torsion_basis(ec.curve_new(F, a, b), ell))
+        for u in us:
+            assert galois.transported_matrix(basis, A0, u) == direct, (a, b, u)
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -523,6 +526,22 @@ def test_transported_basis_is_the_direct_basis_l3(p):
     pairs = [(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
     assert any(a == 0 for a, _ in pairs) and any(b == 0 for _, b in pairs)
     _assert_transport_is_direct(p, 3, pairs)
+
+
+@pytest.mark.parametrize("p,case", [(7, "split_line"), (11, "unipotent_line")])
+def test_transported_matrix_is_the_direct_matrix_l5(p, case):
+    """Every curve of every class of rank >= 1 at ell = 5: split lines over
+    GF(7), unipotent ones over GF(11), as 11 = 1 mod 5."""
+    F = ff.make_field(p, 1)
+    ranks = {
+        (a, b): ec.rational_torsion_rank(ec.curve_new(F, a, b), 5)
+        for a in range(p)
+        for b in range(p)
+        if (4 * a**3 + 27 * b**2) % p
+    }
+    pairs = [ab for ab, rank in ranks.items() if rank]
+    assert {galois.case_from_rank(ranks[ab], p, 5).value for ab in pairs} == {case}
+    _assert_transport_is_direct(p, 5, pairs)
 
 
 def test_transported_basis_is_the_direct_basis_l7():
@@ -542,18 +561,6 @@ def test_transported_basis_is_the_direct_basis_l7():
             pairs += {members[0], members[min(1, len(members) - 1)], members[-1]}
     assert len(pairs) > 10
     _assert_transport_is_direct(p, 7, sorted(pairs))
-
-
-def test_transport_with_a_wrong_scalar_raises_internal_error():
-    p, a0, b0 = 13, 1, 2
-    F = ff.make_field(p, 1)
-    _, points = ec.torsion_points(ec.curve_new(F, a0, b0), 3)
-    u = 2
-    a, b = (u**4 * a0) % p, (u**6 * b0) % p
-    wrong = next(v for v in range(1, p) if (v**4 * a0 - a) % p)
-    assert ec.transport_points(points, ec.curve_new(F, a, b), u)
-    with pytest.raises(InternalError):
-        ec.transport_points(points, ec.curve_new(F, a, b), wrong)
 
 
 def test_frobenius_inconsistency_raises_internal_error(monkeypatch):

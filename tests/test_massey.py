@@ -437,30 +437,27 @@ def test_thm11_branches():
 
 
 def test_thm52_agrees_with_oracle_on_matching_group():
-    """Abstract data mirroring a full-torsion fixture must give the same
-    verdict the concrete engine and oracle give for <chi, chi, chi>."""
-    for name in ("full_torsion", "full_torsion_2"):
-        g = fixtures.group(3, name)
-        q = fixtures.curve(3, name).base.order
-        dets = {galois.mat_det(g.xi, 9)}
-        ninth = dets == {1} and q % 9 == 1
+    """Abstract data mirroring each l = 3 full-torsion fixture gives, for each
+    character nonzero on the torsion, the verdict the concrete engine and the
+    oracle give for <chi, chi, chi>."""
+    for g in fixtures.full_torsion_groups():
         for chi in g.characters():
             if chi.torsion_values() == (0, 0):
                 continue
-            payload = _payload(
-                [ [list(r) for r in g.xi] ],
-                chis=[chi.on_phi()],
-                torsion=list(chi.torsion_values()),
-                ninth=(galois.mat_det(g.xi, 9) == 1),
-                cubic=True,
+            d = load_abstract(
+                _payload(
+                    [[list(r) for r in g.xi]],
+                    chis=[chi.on_phi()],
+                    torsion=list(chi.torsion_values()),
+                    ninth=(galois.mat_det(g.xi, 9) == 1),
+                    cubic=True,
+                )
             )
-            try:
-                d = load_abstract(payload)
-            except Exception:
-                continue  # inconsistent flag combination for this fixture
-            verdict = thm52_check(d)
-            engine = triple_verdict(chi, chi, chi, g)
-            assert verdict.status is engine.status
+            status = thm52_check(d).status
+            assert status is triple_verdict(chi, chi, chi, g).status
+            nonempty = oracle.oracle_nonempty(chi, chi, chi, g)
+            zero = nonempty and oracle.oracle_contains_zero(chi, chi, chi, g)
+            assert status.value == ("Empty" if not nonempty else ("ContainsZero" if zero else "NonVanishing"))
 
 
 # ---------------------------------------------------------------------------
