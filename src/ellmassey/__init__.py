@@ -9,3 +9,7 @@ into unitriangular matrix groups.
 __all__ = ["ff", "ec", "unitri", "galois", "massey", "oracle", "cli"]
 
 __version__ = "0.1.0"
+
+# the seed of ff's Las Vegas streams and the CLI's --seed default; defined here so
+# that the CLI parses its arguments without loading ff
+DEFAULT_SEED = 0xC0FFEE

@@ -16,7 +16,9 @@ Subcommands and exit codes:
 
 A triple list (``sample N``, or ``analyze --triples all``) is capped at
 TRIPLE_CAP = 5**9 triples, the l = 5 full-torsion table; a larger one is an
-input error. A galois-check file nested too deeply to decode is invalid data.
+input error. ``analyze`` writes its rows as it goes, after every verdict is
+decided, so meta.elapsed_ms covers the verdicts but not the writing. A
+galois-check file nested too deeply to decode is invalid data.
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
 timing field. --seed selects the triples of ``sample N`` and is echoed in
@@ -34,9 +36,10 @@ import random
 import sys
 import time
 
-from . import ec, ff, galois, massey
+from . import DEFAULT_SEED
 from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, InvalidData, SearchExhausted
-from .ff import DEFAULT_SEED
+
+# Each command imports the mathematics it runs, so --help and argument errors load none of it.
 
 CASE_FLAGS = ("full3", "split", "unipotent")
 
@@ -49,6 +52,7 @@ EXIT_INTERNAL = 4
 NO_FIXED_POINTS_REPORT_DEGREE_CAP = 24
 EXHAUSTIVE_TRIPLE_CAP = 27**3  # the l = 3 full-torsion grid
 TRIPLE_CAP = 5**9  # the l = 5 full-torsion table, 125^3 triples
+ROWS_PER_WRITE = 4096
 
 
 def _emit(payload, fmt="json", csv_rows=None, csv_header=None):
@@ -67,7 +71,7 @@ def _error(message, detail=None):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _field_to_json(x: ff.FieldElement):
+def _field_to_json(x):
     return list(x.coeffs)
 
 
@@ -78,14 +82,10 @@ def _matrix_to_json(A):
 # ---------------------------------------------------------------------------
 # search
 
-def _iter_primes(lo, hi):
-    for n in range(lo, hi + 1):
-        if ff.is_prime(n):
-            yield n
-
-
 def cmd_search(args) -> int:
     """Rank, #E(F_p) and E[l] once per GF(p)-isomorphism class (ec.class_key); rows by conjugation."""
+    from . import ec, ff, galois
+
     ell = args.ell
     if ell not in ec.SUPPORTED_ELLS:
         raise InputError("--ell must be 3, 5 or 7")
@@ -101,8 +101,8 @@ def cmd_search(args) -> int:
         "unipotent": galois.GaloisCase.UNIPOTENT_LINE,
     }[args.case]
     rows = []
-    for p in _iter_primes(5, args.max_p):
-        if p == ell:
+    for p in range(5, args.max_p + 1):
+        if p == ell or not ff.is_prime(p):
             continue
         if args.case in ("full3", "unipotent") and p % ell != 1:
             continue
@@ -177,7 +177,9 @@ def _parse_coeffs(text: str):
         raise InputError(f"coefficient {text!r} is not an integer or comma list") from exc
 
 
-def _build_curve(args) -> ec.Curve:
+def _build_curve(args):
+    from . import ec, ff
+
     base = ff.make_field(args.p, args.k0)
     return ec.curve_new(base, base.element(_parse_coeffs(args.a)), base.element(_parse_coeffs(args.b)))
 
@@ -232,7 +234,7 @@ def _select_triples(chars, mode, count, seed):
     if mode == "sample":
         rng = random.Random(seed)
         return [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)], f"sample {count}"
-    return list(itertools.product(chars, repeat=3)), mode  # all / exhaustive
+    return list(itertools.product(chars, repeat=3)), mode  # exhaustive
 
 
 def _report_matrices(curve, group):
@@ -244,6 +246,8 @@ def _report_matrices(curve, group):
     not over the curve's base field (at most twice that of the
     x-coordinates), and its order (ff.MAX_FIELD_ORDER).
     """
+    from . import ec, ff, galois
+
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
         return tuple(tuple(v % group.ell for v in row) for row in group.action), group.action
     _, factors = ec._torsion_field_degree(curve, group.ell)
@@ -262,6 +266,8 @@ def _constants_json(group):
 
 
 def cmd_analyze(args) -> int:
+    from . import galois, massey
+
     t0 = time.monotonic()
     mode, count = _parse_mode(
         args.triples, "--triples", ("all", "same-char", "sample"),
@@ -270,32 +276,15 @@ def cmd_analyze(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
+    # triples of character indices, so that each character's text is built once;
+    # the verdicts are references to shared objects, decided before any row is written
     if mode == "all":
         _check_table_cap(chars, TRIPLE_CAP, "--triples all", "--triples")
-    # triples of character indices: each character's output is built once,
-    # and only the rows of the requested format
-    triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
-    verdicts = (massey.triple_verdict(chars[i], chars[j], chars[k], group) for i, j, k in triples)
-    json_rows = csv_rows = None
-    if args.format == "csv":
-        cells = ["|".join(map(str, chi.values)) for chi in chars]
-        csv_rows = [
-            (cells[i], cells[j], cells[k], v.status.value, v.reason)
-            for (i, j, k), v in zip(triples, verdicts)
-        ]
+        triples = itertools.product(range(len(chars)), repeat=3)
+        verdicts = list(massey.verdict_table(chars, group))
     else:
-        lists = [list(chi.values) for chi in chars]
-        json_rows = [
-            {
-                "chi1": lists[i],
-                "chi2": lists[j],
-                "chi3": lists[k],
-                "status": v.status.value,
-                "reason": v.reason,
-                "witness": v.witness,
-            }
-            for (i, j, k), v in zip(triples, verdicts)
-        ]
+        triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
+        verdicts = [massey.triple_verdict(chars[i], chars[j], chars[k], group) for i, j, k in triples]
     mat_l, mat_lp = _report_matrices(curve, group)
     payload = {
         "curve": {
@@ -312,19 +301,66 @@ def cmd_analyze(args) -> int:
         "frobenius_matrix_lprime": _matrix_to_json(mat_lp),
         "constants": _constants_json(group),
         "characters": len(chars),
-        "verdicts": json_rows,
         "meta": {
             "seed": args.seed,
             "mode": mode,
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }
-    _emit(payload, args.format, csv_rows, ("chi1", "chi2", "chi3", "status", "reason"))
+    _write_table(payload, chars, triples, verdicts, args.format)
     return EXIT_OK
 
 
+def _write_table(payload, chars, triples, verdicts, fmt):
+    """Write the report with one row per index triple and its verdict, in
+    chunks, byte for byte as ``_emit`` would write it with the rows in place.
+
+    A JSON row is {"chi1", "chi2", "chi3", "reason", "status", "witness"} and
+    a CSV row chi1,chi2,chi3,status,reason; either is the texts of its three
+    characters in their places followed by the text of its verdict, and each
+    of those is encoded once.
+    """
+    if fmt == "csv":
+        cells = ["|".join(map(str, chi.values)) + "," for chi in chars]
+        first = second = third = cells
+        head, lead, sep, tail = "chi1,chi2,chi3,status,reason", "\n", "\n", "\n"
+
+        def encode(v):
+            return f"{v.status.value},{v.reason}"
+    else:
+        lists = [json.dumps(list(chi.values)) for chi in chars]
+        first = ['{"chi1": ' + x + ', "chi2": ' for x in lists]
+        second = [x + ', "chi3": ' for x in lists]
+        third = [x + ", " for x in lists]
+        # "verdicts" sorts after every other key, so the rows close the object
+        head = json.dumps(payload, sort_keys=True)[:-1] + ', "verdicts": ['
+        lead, sep, tail = "", ", ", "]}\n"
+
+        def encode(v):
+            return json.dumps(v.to_json(), sort_keys=True)[1:]
+
+    # id(verdict) -> its text; ``seen`` holds each verdict, so no id is reused
+    texts, seen = {}, []
+
+    def text(v):
+        seen.append(v)
+        texts[id(v)] = t = encode(v)
+        return t
+
+    rows = zip(triples, verdicts)
+    out = sys.stdout  # read at call time, so redirect_stdout captures the rows
+    out.write(head)
+    while chunk := [
+        first[i] + second[j] + third[k] + (texts.get(id(v)) or text(v))
+        for (i, j, k), v in itertools.islice(rows, ROWS_PER_WRITE)
+    ]:
+        out.write(lead + sep.join(chunk))
+        lead = sep
+    out.write(tail)
+
+
 def cmd_verify(args) -> int:
-    from . import oracle  # imported here: no other command runs it
+    from . import galois, massey, oracle
 
     t0 = time.monotonic()
     mode, count = _parse_mode(
@@ -371,6 +407,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_galois_check(args) -> int:
+    from . import galois, massey
+
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -34,6 +34,7 @@ import itertools
 import random
 from functools import lru_cache
 
+from . import DEFAULT_SEED
 from .errors import (
     DegreeTooLarge,
     FieldMismatch,
@@ -43,8 +44,6 @@ from .errors import (
     UnsupportedField,
     ZeroPolynomial,
 )
-
-DEFAULT_SEED = 0xC0FFEE
 
 MAX_EXT_DEGREE = 96
 MAX_FIELD_ORDER = 2**380

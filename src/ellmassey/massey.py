@@ -96,30 +96,68 @@ def cup_vanishes(chi1: Character, chi2: Character, g: GbarGroup) -> bool:
 def triple_verdict(chi1: Character, chi2: Character, chi3: Character, g: GbarGroup) -> MasseyVerdict:
     """Closed-form status of the triple Massey product of three characters."""
     check_group(g, chi1, chi2, chi3)
-    case = g.case
-    if not _cup_vanishes(chi1, chi2, case):
+    r = _pair_datum(chi1, chi2, g)
+    if r is None:
         return _CUP12_NONZERO
-    if not _cup_vanishes(chi2, chi3, case):
+    t = _pair_datum(chi2, chi3, g)
+    if t is None:
         return _CUP23_NONZERO
+    return _defined_verdict(chi1, chi2, chi3, r, t, g)
 
+
+def verdict_table(chars, g: GbarGroup):
+    """``triple_verdict`` of every triple over ``chars``, in
+    ``itertools.product(chars, repeat=3)`` order.
+
+    Each cup is a fact of its pair, so it is decided once per ordered pair
+    (n^2 decisions for n characters, not up to 2n^3), and a pair whose cup
+    is nonzero as (chi1, chi2) yields its n verdicts at once.
+    """
+    check_group(g, *chars)
+    data = [[_pair_datum(a, b, g) for b in chars] for a in chars]
+    n = len(chars)
+    for chi1, row1 in zip(chars, data):
+        for chi2, r, row2 in zip(chars, row1, data):
+            if r is None:
+                yield from itertools.repeat(_CUP12_NONZERO, n)
+                continue
+            for chi3, t in zip(chars, row2):
+                yield _CUP23_NONZERO if t is None else _defined_verdict(chi1, chi2, chi3, r, t, g)
+
+
+def _pair_datum(chi_a: Character, chi_b: Character, g: GbarGroup):
+    """None if the cup of the pair is nonzero; else what the verdict of a
+    defined product needs of the pair: r = f_a x_b - f_b x_a mod l in the
+    unipotent case (generators (mprime, m, phi), values (0, x, f)), 0 in
+    every other case."""
+    if not _cup_vanishes(chi_a, chi_b, g.case):
+        return None
+    if g.case is not GaloisCase.UNIPOTENT_LINE:
+        return 0
+    _, xa, fa = chi_a.values
+    _, xb, fb = chi_b.values
+    return (fa * xb - fb * xa) % g.ell
+
+
+def _defined_verdict(chi1, chi2, chi3, r, t, g: GbarGroup) -> MasseyVerdict:
+    """The verdict of a product whose cups both vanish, given the pair data
+    r of (chi1, chi2) and t of (chi2, chi3)."""
+    case = g.case
     if case is GaloisCase.NO_FIXED_POINTS:
         return _BASE_FIELD
     if case is GaloisCase.SPLIT_LINE:
         return _SPLIT_LINE_LIFT
     if case is GaloisCase.UNIPOTENT_LINE:
-        return _unipotent_verdict(chi1, chi2, chi3, g)
+        return _unipotent_verdict(chi1, chi2, chi3, r, t, g)
     return _full_torsion_verdict(chi1, chi2, chi3, g)
 
 
-def _unipotent_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
-    # generators (mprime, m, phi): the values are (0, x, f)
+def _unipotent_verdict(chi1, chi2, chi3, r, t, g: GbarGroup) -> MasseyVerdict:
     ell = g.ell
     _, x1, f1 = chi1.values
-    _, x2, f2 = chi2.values
+    x2 = chi2.values[1]
     _, x3, f3 = chi3.values
     c = g.constants["c"]
-    r = (f1 * x2 - f2 * x1) % ell
-    t = (f2 * x3 - f3 * x2) % ell
     res1 = (t * x1 - r * x3) % ell
     res2 = (t * f1 - r * f3 - c * x1 * x2 * x3) % ell
     return _unipotent_outcome(res1, res2, c)

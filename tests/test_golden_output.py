@@ -5,7 +5,9 @@ byte of stdout is part of the contract. The first 17 hashes were recorded before
 the Frobenius action became a plain matrix, the next six searches before
 search began to work once per isomorphism class, and the last four
 searches, which print every row they find, before each row's matrix was
-read off its class by a change of basis. So a refactor that changes any
+read off its class by a change of basis, and the four full l = 7 tables
+before ``--triples all`` began to decide cups per pair and stream its rows.
+So a refactor that changes any
 output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -51,6 +53,10 @@ GOLDEN = (
     ("search --ell 3 --case split --max-p 40 --limit 100000 --format csv", 0, "0be7d4fda9ce643ea831253f8e1166a138444f9ea4de800fbeacf2339d022ab1"),
     ("search --ell 7 --case split --max-p 20 --limit 100000", 0, "ed683d795055c71e3ffd770de3298e97e87ca8e3ef532d2b6420de47ec09b149"),
     ("search --ell 5 --case unipotent --max-p 41 --limit 100000", 0, "6620770fcc79617e96f944cb16ba82c441da5082ce931d172ef44c0d005aed3a"),
+    ("analyze --p 23 --a 1 --b 1 --ell 7 --triples all", 0, "0ca7ecaeeb6f97246e992bec33aae1fcecb814819402c0ac1149e31f24818aca"),
+    ("analyze --p 23 --a 1 --b 1 --ell 7 --triples all --format csv", 0, "038631f56054f344a37cfab4dcc4252da9dbb0e3a654f0f555c486e893ab03a9"),
+    ("analyze --p 29 --a 1 --b 7 --ell 7 --triples all", 0, "3b9b8a39194358e42d026bbe88bff0d5d01693c4e1bd24ac1b909e0fb7228512"),
+    ("analyze --p 29 --a 1 --b 7 --ell 7 --triples all --format csv", 0, "367a5cac37ea3ecf5889de05218eac9ff5d5ec212750d2288ce75e1715a041fc"),
 )
 
 

@@ -17,6 +17,7 @@ from ellmassey.massey import (
     thm11_check,
     thm52_check,
     triple_verdict,
+    verdict_table,
 )
 
 
@@ -334,6 +335,44 @@ def test_group_mismatch():
     g2 = fixtures.group(3, "split_line")
     with pytest.raises(GroupMismatch):
         cup_vanishes(g1.characters()[1], g2.characters()[1], g1)
+    with pytest.raises(GroupMismatch):
+        next(verdict_table([g1.characters()[1], g2.characters()[1]], g1))
+
+
+TABLE_GROUPS = [
+    (3, "full_torsion"),
+    (3, "full_torsion_2"),
+    (3, "full_torsion_3"),
+    (3, "split_line"),
+    (3, "split_line_a0"),
+    (3, "unipotent_line"),
+    (3, "no_fixed_points"),
+    (5, "unipotent_line"),
+    (7, "split_line"),
+]
+
+
+@pytest.mark.parametrize("ell,case", TABLE_GROUPS, ids=[f"l{e}-{c}" for e, c in TABLE_GROUPS])
+def test_verdict_table_is_the_per_triple_dispatch(ell, case, monkeypatch):
+    """The table yields triple_verdict of every triple in product order, and
+    decides each cup once per ordered pair: n^2 decisions, not up to 2n^3."""
+    g = fixtures.group(ell, case)
+    chars = g.characters()
+    n = len(chars)
+    calls = [0]
+    cup = massey._cup_vanishes
+
+    def counted(chi1, chi2, case):
+        calls[0] += 1
+        return cup(chi1, chi2, case)
+
+    monkeypatch.setattr(massey, "_cup_vanishes", counted)
+    table = list(verdict_table(chars, g))
+    assert calls[0] <= n * n
+    monkeypatch.setattr(massey, "_cup_vanishes", cup)
+    assert len(table) == n**3
+    for (c1, c2, c3), v in zip(itertools.product(chars, repeat=3), table):
+        assert v == triple_verdict(c1, c2, c3, g), (c1, c2, c3)
 
 
 # ---------------------------------------------------------------------------

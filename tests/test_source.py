@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ellmassey
 
 
@@ -32,6 +34,29 @@ def test_cli_import_loads_only_shared_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv,code", ((["--help"], 0), (["analyze", "--p", "7"], 2)), ids=("help", "argument-error")
+)
+def test_argument_parsing_loads_no_mathematics(argv, code):
+    """``-m ellmassey.cli --help``, or a command line that argparse rejects,
+    ends before any field, curve, group or verdict module is imported."""
+    unwanted = ["ellmassey.ec", "ellmassey.ff", "ellmassey.galois", "ellmassey.massey"]
+    src = str(Path(ellmassey.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['ellmassey', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('ellmassey.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    print(exc.code, [m for m in {unwanted!r} if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == f"{code} []"
 
 
 def test_traced_benchmark_names_resolve():
