@@ -109,8 +109,9 @@ def cmd_search(args) -> int:
         if args.case == "split" and p % ell == 1:
             continue
         base = ff.make_field(p, 1)
-        # class key -> (a0, b0, rank, E[l] basis, its matrix, #E) of the class's first
-        # pair and so its first row; None if its case is not wanted
+        # class key -> (rank, E[l] basis, its matrix, #E, orbit) of the class's first
+        # pair (a0, b0), and so of its first row, where the orbit maps each
+        # (u^4 a0, u^6 b0) to a u; None if its case is not wanted
         classes = {}
         for a, b in itertools.product(range(p), repeat=2):
             if (4 * a**3 + 27 * b * b) % p == 0:
@@ -119,15 +120,17 @@ def cmd_search(args) -> int:
             if key not in classes:
                 rep = ec.curve_new(base, a, b)
                 rank = ec.rational_torsion_rank(rep, ell)
-                hit = galois.case_from_rank(rank, p, ell) is wanted
-                basis = ec.torsion_basis(rep, ell) if hit else None
-                classes[key] = (a, b, rank, basis, ec.frobenius_matrix(basis), ec.count_points(rep)) if hit else None
+                classes[key] = None
+                if galois.case_from_rank(rank, p, ell) is wanted:
+                    basis = ec.torsion_basis(rep, ell)
+                    orbit = {(u**4 * a % p, u**6 * b % p): u for u in range(1, p)}
+                    classes[key] = (rank, basis, ec.frobenius_matrix(basis), ec.count_points(rep), orbit)
             if classes[key] is None:
                 continue
-            a0, b0, rank, basis, A0, count = classes[key]
-            u = ec.isomorphism_scalar(a0, b0, a, b, p)
-            if (u**4 * a0 - a) % p or (u**6 * b0 - b) % p:
-                raise InternalError(f"u = {u} does not carry ({a0}, {b0}) to ({a}, {b}) over GF({p})")
+            rank, basis, A0, count, orbit = classes[key]
+            u = orbit.get((a, b))
+            if u is None:
+                raise InternalError(f"({a}, {b}) lies off the orbit of its class {key} over GF({p})")
             A = galois.transported_matrix(basis, A0, u)
             case = galois.classify_case(A, ell)
             if case is not wanted:
@@ -339,11 +342,11 @@ def _write_table(payload, chars, triples, verdicts, fmt):
         def encode(v):
             return json.dumps(v.to_json(), sort_keys=True)[1:]
 
-    # id(verdict) -> its text; ``seen`` holds each verdict, so no id is reused
-    texts, seen = {}, []
+    # id(verdict) -> its text; ``verdicts`` holds every verdict for the whole
+    # write, so no id is reused
+    texts = {}
 
     def text(v):
-        seen.append(v)
         texts[id(v)] = t = encode(v)
         return t
 

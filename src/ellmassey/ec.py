@@ -76,7 +76,7 @@ class Curve:
     def __eq__(self, other):
         return (
             isinstance(other, Curve)
-            and self.base == other.base
+            and self.base is other.base
             and self.a == other.a
             and self.b == other.b
         )
@@ -350,7 +350,7 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     h = n // ell
     P = next(T for T in points if not scalar_mul(h, T).is_infinity)
     hP = scalar_mul(h, P)
-    line = {scalar_mul(i, hP).key() for i in range(ell)}
+    line = _multiple_keys(hP, ell)
     Q = next(T for T in points if scalar_mul(h, T).key() not in line)
     table = _span_table(P, Q, n)
     if len(table) != n * n:
@@ -536,15 +536,6 @@ def class_key(a: int, b: int, p: int) -> tuple:
     if b == 0:
         return (1, pow(a, (p - 1) // gcd(4, p - 1), p))
     return (2, a * a * a * pow(b, -2, p) % p, pow(a * b, (p - 1) // 2, p))  # (ab | p) = (b/a | p)
-
-
-def isomorphism_scalar(a0: int, b0: int, a: int, b: int, p: int) -> int:
-    """The least u in [1, p) with (u^4 a0, u^6 b0) = (a, b) mod p."""
-    for u in range(1, p):
-        u2 = u * u % p
-        if u2 * u2 * a0 % p == a and u2 * u2 * u2 * b0 % p == b:
-            return u
-    raise InternalError(f"({a0}, {b0}) and ({a}, {b}) are not isomorphic over GF({p})")
 
 
 # ---------------------------------------------------------------------------

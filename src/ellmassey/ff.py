@@ -192,7 +192,8 @@ class ExtField:
 
     Raw element operations (``radd``, ``rmul``, ...) act on plain coefficient
     tuples; ``FieldElement`` wraps them for operator syntax. Instances are
-    immutable and safe to share.
+    immutable and safe to share; ``make_field`` builds the one instance of
+    each GF(p^k), so fields are compared by identity.
     """
 
     __slots__ = ("p", "k", "modulus", "order", "zero_raw", "one_raw", "_red_rows", "_kron")
@@ -203,7 +204,7 @@ class ExtField:
         self.modulus = modulus  # length k+1, ascending, monic
         self.order = p**k
         self.zero_raw = (0,) * k
-        self.one_raw = (1,) + (0,) * (k - 1) if k > 1 else (1 % p,)
+        self.one_raw = (1,) + (0,) * (k - 1)
         # X^(k+i) mod modulus for i = 0..k-2, which fold product tails back
         self._red_rows = tuple(
             _ip_elem(_ip_rem([0] * (k + i) + [1], modulus, p), k) for i in range(k - 1)
@@ -267,7 +268,7 @@ class ExtField:
 
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, FieldElement):
-            if coeffs.field is not self and coeffs.field != self:
+            if coeffs.field is not self:
                 raise FieldMismatch("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
@@ -290,15 +291,6 @@ class ExtField:
         for coeffs in itertools.product(range(self.p), repeat=self.k):
             yield FieldElement(self, coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"ExtField(p={self.p}, k={self.k})"
 
@@ -314,7 +306,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatch("elements of different fields")
             return other
         if isinstance(other, int):
@@ -367,7 +359,7 @@ class FieldElement:
             other = self.field.element(other)
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -398,7 +390,9 @@ def make_field(p: int, k: int) -> ExtField:
     The binomials X^k + c come first and are decided by the binomial theorem,
     the rest by Ben-Or's test; both are exact, so the same candidate wins.
     For k = 1 the modulus is X itself. p must lie below
-    PRIME_CERTIFIED_BOUND, where ``is_prime`` is a proof.
+    PRIME_CERTIFIED_BOUND, where ``is_prime`` is a proof. The cache is
+    unbounded and nothing else constructs an ExtField, so each (p, k) has one
+    field object.
     """
     if p >= PRIME_CERTIFIED_BOUND:
         raise FieldTooLarge(
@@ -615,7 +609,7 @@ def _raw_poly(f, F: ExtField) -> list:
     raw = []
     for c in f:
         if isinstance(c, FieldElement):
-            if c.field != F:
+            if c.field is not F:
                 raise FieldMismatch("coefficient from a different field")
             raw.append(c.coeffs)
         else:
@@ -762,7 +756,7 @@ class Embedding:
         self._powers = powers
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.src:
+        if x.field is not self.src:
             raise FieldMismatch("element not in the embedding's source field")
         return FieldElement(self.dst, self.raw(x.coeffs))
 
@@ -784,7 +778,7 @@ def embed_field(src: ExtField, dst: ExtField) -> Embedding:
         raise FieldMismatch(f"GF({src.p}^{src.k}) does not embed in GF({dst.p}^{dst.k})")
     if src.k == 1:
         return Embedding(src, dst, dst.zero_raw)
-    if src == dst:
+    if src is dst:
         return Embedding(src, dst, (0, 1) + (0,) * (dst.k - 2))
     roots = roots_in_field(list(src.modulus), dst)
     if not roots:

@@ -145,7 +145,7 @@ def transported_matrix(basis: ec.TorsionBasis, A0, u: int):
         if key != (0,)  # the point at infinity
     )
     P = moved[0][2]
-    Q = next(v for _, _, v in moved if (P[0] * v[1] - P[1] * v[0]) % n)
+    Q = next(v for _, _, v in moved if mat_det(((P[0], v[0]), (P[1], v[1])), n))
     return mat_conj(A0, ((P[0], Q[0]), (P[1], Q[1])), n)
 
 
@@ -170,21 +170,20 @@ class Presentation:
         self.relations = relations
 
 
-def _build_relations(n_torsion: int, orders, xi, lprime, has_phi: bool):
+def _build_relations(n_torsion: int, xi, lprime):
+    """Torsion orders and commutators first, n(n+1)/2 relations that present
+    the torsion part alone; then phi's order and its action by conjugation."""
     rels = []
     for i in range(n_torsion):
-        rels.append(Relation(((i, orders[i]),), ()))
+        rels.append(Relation(((i, lprime),), ()))
     for i in range(n_torsion):
         for j in range(i + 1, n_torsion):
             rels.append(Relation(((i, 1), (j, 1), (i, -1), (j, -1)), ()))
-    if has_phi:
-        phi = n_torsion
-        rels.append(Relation(((phi, lprime),), ()))
-        for i in range(n_torsion):
-            image = tuple(
-                (j, xi[j][i] % lprime) for j in range(n_torsion) if xi[j][i] % lprime
-            )
-            rels.append(Relation(((phi, 1), (i, 1), (phi, -1)), image))
+    phi = n_torsion
+    rels.append(Relation(((phi, lprime),), ()))
+    for i in range(n_torsion):
+        image = tuple((j, xi[j][i] % lprime) for j in range(n_torsion) if xi[j][i] % lprime)
+        rels.append(Relation(((phi, 1), (i, 1), (phi, -1)), image))
     return tuple(rels)
 
 
@@ -200,11 +199,11 @@ _GEN_NAMES = {
 
 
 class GbarGroup:
-    """Finite quotient Tbar x| <phi> with phi of order l'.
+    """Finite quotient Tbar x| <phi>, phi and every torsion generator of order l'.
 
     ``action`` is the level-l' Frobenius matrix in the normalized basis (the
-    raw one for full torsion), None when no line is fixed. The generators,
-    torsion orders and ``xi``, the action of phi on the torsion generators
+    raw one for full torsion), None when no line is fixed. The generators
+    and ``xi``, the action of phi on the torsion generators
     (columns are images, entries mod l'), follow from the case: ``xi`` is the
     action, its (0, 0) entry on the cyclic split-line torsion, or empty.
     ``constants`` holds the normalized-basis invariants (alpha, beta, gamma,
@@ -218,7 +217,6 @@ class GbarGroup:
         self.action = action
         self.constants = constants
         self.gen_names = _GEN_NAMES[case]
-        self.torsion_orders = (self.ell_prime,) * (len(self.gen_names) - 1)
         if case is GaloisCase.SPLIT_LINE:
             self.xi = ((action[0][0],),)
         else:
@@ -229,33 +227,30 @@ class GbarGroup:
 
     @property
     def rank(self) -> int:
-        return len(self.torsion_orders)
+        return len(self.gen_names) - 1
 
     @property
     def order(self) -> int:
-        size = self.ell_prime
-        for o in self.torsion_orders:
-            size *= o
-        return size
+        return self.ell_prime ** len(self.gen_names)
 
     def presentation(self) -> Presentation:
         if self._presentation is None:
-            rank = self.rank
             self._presentation = Presentation(
                 ell=self.ell,
                 gen_names=self.gen_names,
-                relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, True),
+                relations=_build_relations(self.rank, self.xi, self.ell_prime),
             )
         return self._presentation
 
     def torsion_presentation(self) -> Presentation:
-        """The torsion subgroup alone (no phi), for restriction tests."""
+        """The torsion subgroup alone (no phi), for restriction tests: the
+        first rank(rank+1)/2 relations of the presentation."""
         if self._torsion_presentation is None:
             rank = self.rank
             self._torsion_presentation = Presentation(
                 ell=self.ell,
                 gen_names=self.gen_names[:rank],
-                relations=_build_relations(rank, self.torsion_orders, self.xi, self.ell_prime, False),
+                relations=self.presentation().relations[: rank * (rank + 1) // 2],
             )
         return self._torsion_presentation
 

@@ -119,10 +119,13 @@ class _RelationForms:
     """The residual of one relation as multilinear forms, read by probing.
 
     Sparse forms are lists of (generator indices..., coefficient) with the
-    coefficient nonzero; ``cu``, ``cv``, ``cw`` are dense per generator.
+    coefficient nonzero. The constant coefficients on the unknowns are held
+    once, as the rows ``urow``, ``vrow``, ``wrow`` of the full system with the
+    unknowns ordered (generator, u/v/w); per generator they are the slices
+    ``urow[0::3]``, ``vrow[1::3]`` and ``wrow[2::3]``.
     """
 
-    __slots__ = ("diag", "cu", "cv", "cw", "bu", "bw", "mu", "mw", "t", "urow", "vrow", "wrow")
+    __slots__ = ("diag", "bu", "bw", "mu", "mw", "t", "urow", "vrow", "wrow")
 
     def __init__(self, l: int, n: int, rel):
         def probe(slot, *entries):
@@ -134,9 +137,11 @@ class _RelationForms:
         gens = range(n)
         pairs = [(f, g) for f in gens for g in gens]
         self.diag = [(g, c) for g in gens if (c := probe(_A1, (g, _A1)))]
-        self.cu = [probe(_U, (g, _U)) for g in gens]
-        self.cv = [probe(_V, (g, _V)) for g in gens]
-        self.cw = [probe(_W, (g, _W)) for g in gens]
+        # ``full`` adds each triple's mu and mw terms to a copy of the v row
+        self.urow, self.vrow, self.wrow = ([0] * (3 * n) for _ in range(3))
+        self.urow[0::3] = [probe(_U, (g, _U)) for g in gens]
+        self.vrow[1::3] = [probe(_V, (g, _V)) for g in gens]
+        self.wrow[2::3] = [probe(_W, (g, _W)) for g in gens]
         self.bu = [(f, g, c) for f, g in pairs if (c := probe(_U, (f, _A1), (g, _A2)))]
         self.bw = [(f, g, c) for f, g in pairs if (c := probe(_W, (f, _A2), (g, _A3)))]
         self.mu = [(g, h, c) for g, h in pairs if (c := probe(_V, (g, _U), (h, _A3)))]
@@ -147,13 +152,6 @@ class _RelationForms:
             for h in gens
             if (c := probe(_V, (f, _A1), (g, _A2), (h, _A3)))
         ]
-        # rows of the full system with the unknowns ordered (generator, u/v/w);
-        # the v row also takes the mu and mw terms of each triple
-        self.urow, self.vrow, self.wrow = ([0] * (3 * n) for _ in range(3))
-        for g in gens:
-            self.urow[3 * g] = self.cu[g]
-            self.vrow[3 * g + 1] = self.cv[g]
-            self.wrow[3 * g + 2] = self.cw[g]
 
     def residual(self, l: int, images):
         """The residual these forms predict at ``images`` (raw U4 tuples)."""
@@ -162,14 +160,14 @@ class _RelationForms:
             _linear(self.diag, x) % l,
             _linear(self.diag, y) % l,
             _linear(self.diag, z) % l,
-            (_dot(self.cu, u) + _bilinear(self.bu, x, y)) % l,
+            (_dot(self.urow[0::3], u) + _bilinear(self.bu, x, y)) % l,
             (
-                _dot(self.cv, v)
+                _dot(self.vrow[1::3], v)
                 + _bilinear(self.mu, u, z)
                 + _bilinear(self.mw, w, x)
                 + _trilinear(self.t, x, y, z)
             ) % l,
-            (_dot(self.cw, w) + _bilinear(self.bw, y, z)) % l,
+            (_dot(self.wrow[2::3], w) + _bilinear(self.bw, y, z)) % l,
         )
 
 
@@ -209,8 +207,8 @@ class _LiftSystem:
                     f"compiled lifting system disagrees with relation {i} at {check}"
                 )
         # (coefficients, right-hand side form) per relation, and the memo
-        self._u = ([(f.cu, f.bu) for f in self.forms], {})
-        self._w = ([(f.cw, f.bw) for f in self.forms], {})
+        self._u = ([(f.urow[0::3], f.bu) for f in self.forms], {})
+        self._w = ([(f.wrow[2::3], f.bw) for f in self.forms], {})
 
     def _is_character(self, x) -> bool:
         return all(_linear(f.diag, x) % self.ell == 0 for f in self.forms)

@@ -560,16 +560,12 @@ def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch)
         assert r["points"] == p + 1 + symbols.count(1) - symbols.count(p - 1)
 
 
-def test_search_with_a_wrong_isomorphism_scalar_exits_4_without_rows(capsys, monkeypatch):
-    """A scalar u with u^4 a0 != a moves E[5] of the class's first curve off
-    the row's curve: an InternalError, not a row. The first row, (7, 1, 1),
-    has a != 0, so such a u exists."""
+def test_search_with_a_pair_off_its_class_orbit_exits_4_without_rows(capsys, monkeypatch):
+    """A class key that merges classes puts pairs in a class whose first
+    curve does not carry over to them: an InternalError, not a row."""
     from ellmassey import ec
 
-    def wrong(a0, b0, a, b, p):
-        return next(u for u in range(1, p) if (u**4 * a0 - a) % p)
-
-    monkeypatch.setattr(ec, "isomorphism_scalar", wrong)
+    monkeypatch.setattr(ec, "class_key", lambda a, b, p: 0)
     code, data = run_json(
         capsys, "search", "--ell", "5", "--case", "split", "--max-p", "100", "--limit", "3"
     )
@@ -578,22 +574,29 @@ def test_search_with_a_wrong_isomorphism_scalar_exits_4_without_rows(capsys, mon
     assert "rows" not in data
 
 
-def test_search_checks_the_isomorphism_scalar_before_the_row_matrix(capsys, monkeypatch):
-    """(u^4 a0 - a, u^6 b0 - b) = (0, 0) mod p is checked before a row's
-    matrix is read off its class: a wrong u names both pairs, and no matrix
-    is transported along it."""
+def test_search_checks_the_class_orbit_before_the_row_matrix(capsys, monkeypatch):
+    """A pair is looked up in its class's orbit {(u^4 a0, u^6 b0)} before its
+    matrix is read off the class: a pair off the orbit is named with its key,
+    and no matrix is transported to it. With every pair in one class, each
+    prime below 29 starts its class with a curve of another case and reports
+    nothing; over GF(29) the first curve, (0, 1), is a row and the one matrix
+    transported, and (0, 2) is not of the form (0, u^6)."""
     from ellmassey import ec, galois
 
-    def no_matrix(basis, A0, u):
-        raise AssertionError("transported_matrix called with a wrong scalar")
+    real, transported = galois.transported_matrix, []
 
-    monkeypatch.setattr(ec, "isomorphism_scalar", lambda a0, b0, a, b, p: 2)
-    monkeypatch.setattr(galois, "transported_matrix", no_matrix)
+    def counted(basis, A0, u):
+        transported.append(u)
+        return real(basis, A0, u)
+
+    monkeypatch.setattr(ec, "class_key", lambda a, b, p: 0)
+    monkeypatch.setattr(galois, "transported_matrix", counted)
     code, data = run_json(
         capsys, "search", "--ell", "5", "--case", "split", "--max-p", "100", "--limit", "3"
     )
     assert code == 4
-    assert data["error"]["message"] == "InternalError: u = 2 does not carry (1, 1) to (1, 1) over GF(7)"
+    assert data["error"]["message"] == "InternalError: (0, 2) lies off the orbit of its class 0 over GF(29)"
+    assert len(transported) == 1
 
 
 def test_search_rows_do_not_depend_on_seed(capsys):

@@ -383,6 +383,35 @@ def test_element_mismatch_errors():
         F1.element(2) + F2.element(2)
 
 
+def test_fields_are_interned_and_compared_by_identity():
+    """make_field returns one object per (p, k), which is what lets fields be
+    compared by identity: elements of GF(7) mixed with elements of GF(11) or
+    of GF(7^2) still raise FieldMismatch, and a field embeds in itself by the
+    identity."""
+    for p, k in ((7, 1), (7, 2), (11, 1)):
+        assert ff.make_field(p, k) is ff.make_field(p, k)
+    F7, F11, F49 = ff.make_field(7, 1), ff.make_field(11, 1), ff.make_field(7, 2)
+    x = F7.element(3)
+    for y in (F11.element(3), F49.element((3, 0))):
+        with pytest.raises(FieldMismatch):
+            x + y
+        with pytest.raises(FieldMismatch):
+            x * y
+        with pytest.raises(FieldMismatch):
+            x < y
+        with pytest.raises(FieldMismatch):
+            y.field.element(x)
+        with pytest.raises(FieldMismatch):
+            ff.roots_in_field([x, y.field.one], y.field)
+        assert x != y
+    with pytest.raises(FieldMismatch):
+        ff.embed_field(F7, F49)(F11.element(3))
+    for F in (F7, F49):
+        emb = ff.embed_field(F, F)
+        for z in F.elements():
+            assert emb(z).field is F and emb(z).coeffs == z.coeffs
+
+
 # ---------------------------------------------------------------------------
 # packed kernels against references on plain ints
 

@@ -329,9 +329,9 @@ class NormalForm:
             return ((), (e1 + e2) % lp)
         if rank == 1:
             s = pow(g.xi[0][0], e1 % lp, lp)
-            return (((t1[0] + s * t2[0]) % g.torsion_orders[0],), (e1 + e2) % lp)
+            return (((t1[0] + s * t2[0]) % lp,), (e1 + e2) % lp)
         moved = mat_apply(self.xi_powers[e1 % lp], t2, lp)
-        t = tuple((a + b) % o for a, b, o in zip(t1, moved, g.torsion_orders))
+        t = tuple((a + b) % lp for a, b in zip(t1, moved))
         return (t, (e1 + e2) % lp)
 
     def inv(self, x):
@@ -343,13 +343,13 @@ class NormalForm:
             return ((), inv_e)
         if rank == 1:
             s = pow(g.xi[0][0], inv_e, lp)
-            return (((-s * t[0]) % g.torsion_orders[0],), inv_e)
+            return (((-s * t[0]) % lp,), inv_e)
         moved = mat_apply(self.xi_powers[inv_e], t, lp)
-        return (tuple((-a) % o for a, o in zip(moved, g.torsion_orders)), inv_e)
+        return (tuple((-a) % lp for a in moved), inv_e)
 
     def elements(self):
-        ranges = [range(o) for o in self.g.torsion_orders] + [range(self.g.ell_prime)]
-        for tup in itertools.product(*ranges):
+        g = self.g
+        for tup in itertools.product(range(g.ell_prime), repeat=g.rank + 1):
             yield (tup[:-1], tup[-1])
 
 

@@ -123,3 +123,32 @@ def test_ec_draws_no_random_stream():
                 bad.append(f"from {node.module}")
             bad += [a.name for a in node.names if a.name in ("random", "DEFAULT_SEED")]
     assert bad == []
+
+
+def test_fields_are_built_only_by_make_field():
+    """Fields are compared by identity, which holds because make_field is
+    the only place an ExtField is constructed and its cache keeps every
+    field it builds."""
+    from ellmassey import ff
+
+    callers = set()
+    for path in sorted(Path(ellmassey.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ExtField" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"ff.make_field"}
+    assert ff.make_field.cache_parameters()["maxsize"] is None
+
+
+def test_sources_parse_as_python_3_10():
+    """Every .py file of the package, tests, demos and benchmark parses with
+    the Python 3.10 grammar, as pyproject's requires-python claims. This
+    checks grammar only, not the standard-library APIs a file calls."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
