@@ -37,7 +37,7 @@ import sys
 import time
 
 from . import DEFAULT_SEED
-from .errors import CaseMismatch, EllmasseyError, InputError, InternalError, InvalidData, SearchExhausted
+from .errors import CaseMismatch, InputError, InternalError, InvalidData, SearchExhausted
 
 # Each command imports the mathematics it runs, so --help and argument errors load none of it.
 
@@ -55,20 +55,12 @@ TRIPLE_CAP = 5**9  # the l = 5 full-torsion table, 125^3 triples
 ROWS_PER_WRITE = 4096
 
 
-def _emit(payload, fmt="json", csv_rows=None, csv_header=None):
-    if fmt == "csv" and csv_rows is not None:
-        lines = [",".join(csv_header)]
-        lines.extend(",".join(map(str, row)) for row in csv_rows)
-        print("\n".join(lines))
-    else:
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _error(message, detail=None):
-    obj = {"error": {"message": message}}
-    if detail:
-        obj["error"]["detail"] = detail
+def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
+
+
+def _error(message):
+    _emit({"error": {"message": message}})
 
 
 def _field_to_json(x):
@@ -160,11 +152,14 @@ def cmd_search(args) -> int:
         "rows": rows,
         "meta": {"seed": args.seed},
     }
-    csv_rows = [
-        (r["p"], r["a"], r["b"], "|".join(str(v) for row in r["frobenius_matrix"] for v in row), r["points"])
-        for r in rows
-    ]
-    _emit(payload, args.format, csv_rows, ("p", "a", "b", "frobenius_matrix", "points"))
+    if args.format == "json":
+        _emit(payload)
+        return EXIT_OK
+    lines = ["p,a,b,frobenius_matrix,points"]
+    for r in rows:
+        matrix = "|".join(str(v) for row in r["frobenius_matrix"] for v in row)
+        lines.append(f"{r['p']},{r['a']},{r['b']},{matrix},{r['points']}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -247,15 +242,22 @@ def _report_matrices(curve, group):
     directly when the torsion field is small enough, else reported as null.
     Two caps bound the field the report would build: its degree over GF(p),
     not over the curve's base field (at most twice that of the
-    x-coordinates), and its order (ff.MAX_FIELD_ORDER).
+    x-coordinates), and its order (ff.MAX_FIELD_ORDER). The degree is at
+    least 2 k0, so when k0 alone breaks a cap the report is null without
+    factoring psi_l.
     """
     from . import ec, ff, galois
 
     if group.case is not galois.GaloisCase.NO_FIXED_POINTS:
         return tuple(tuple(v % group.ell for v in row) for row in group.action), group.action
+
+    def past_caps(degree):
+        return degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP or curve.base.p**degree > ff.MAX_FIELD_ORDER
+
+    if past_caps(2 * curve.base.k):
+        return None, None
     _, factors = ec._torsion_field_degree(curve, group.ell)
-    degree = curve.base.k * 2 * math.lcm(*(d for d, _ in factors))
-    if degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP or curve.base.p**degree > ff.MAX_FIELD_ORDER:
+    if past_caps(curve.base.k * 2 * math.lcm(*(d for d, _ in factors))):
         return None, None
     A = ec.frobenius_matrix(ec.torsion_basis(curve, group.ell))
     return A, A if group.ell == group.ell_prime else None
@@ -316,7 +318,8 @@ def cmd_analyze(args) -> int:
 
 def _write_table(payload, chars, triples, verdicts, fmt):
     """Write the report with one row per index triple and its verdict, in
-    chunks, byte for byte as ``_emit`` would write it with the rows in place.
+    chunks, byte for byte as one ``json.dumps(..., sort_keys=True)`` of the
+    payload with the rows in place would write it.
 
     A JSON row is {"chi1", "chi2", "chi3", "reason", "status", "witness"} and
     a CSV row chi1,chi2,chi3,status,reason; either is the texts of its three
@@ -378,19 +381,20 @@ def cmd_verify(args) -> int:
     mismatches = []
     for c1, c2, c3 in triples:
         v = massey.triple_verdict(c1, c2, c3, group)
-        nonempty = oracle.oracle_nonempty(c1, c2, c3, group)
-        contains_zero = oracle.oracle_contains_zero(c1, c2, c3, group) if nonempty else False
-        expected = (
-            "Empty" if not nonempty else ("ContainsZero" if contains_zero else "NonVanishing")
-        )
-        if v.status.value != expected:
+        if not oracle.oracle_nonempty(c1, c2, c3, group):
+            expected = massey.VerdictStatus.EMPTY
+        elif oracle.oracle_contains_zero(c1, c2, c3, group):
+            expected = massey.VerdictStatus.CONTAINS_ZERO
+        else:
+            expected = massey.VerdictStatus.NON_VANISHING
+        if v.status is not expected:
             mismatches.append(
                 {
                     "chi1": list(c1.values),
                     "chi2": list(c2.values),
                     "chi3": list(c3.values),
                     "engine": v.status.value,
-                    "oracle": expected,
+                    "oracle": expected.value,
                 }
             )
     payload = {
@@ -405,7 +409,7 @@ def cmd_verify(args) -> int:
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }
-    _emit(payload, "json")
+    _emit(payload)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -423,7 +427,7 @@ def cmd_galois_check(args) -> int:
         payload = {"theorem": "52", **verdict.to_json()}
     else:
         payload = {"theorem": "11", **massey.thm11_check(abstract)}
-    _emit(payload, "json")
+    _emit(payload)
     return EXIT_OK
 
 
@@ -494,9 +498,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         _error(f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
-    except EllmasseyError as exc:
-        _error(f"{type(exc).__name__}: {exc}")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from math import gcd, lcm
 from . import ff
 from .errors import (
     BadCharacteristic,
-    ExtensionCapExceeded,
     FieldMismatch,
     FieldTooLarge,
     InternalError,
@@ -339,8 +338,6 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     if n % curve.base.p == 0:
         raise BadCharacteristic("torsion level must be coprime to the characteristic")
     k, factors = _torsion_field_degree(curve, n)
-    if curve.base.k * k > ff.MAX_EXT_DEGREE:
-        raise ExtensionCapExceeded(f"torsion field degree {curve.base.k * k} exceeds cap")
     big = ff.make_field(curve.base.p, curve.base.k * k)
     points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
     if len(points) != n * n - 1:

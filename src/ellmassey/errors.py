@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Each class names one failure condition of the public API; the CLI maps
-InputError subtypes to exit code 2, SearchExhausted to exit code 3 and
-InternalError subtypes, which signal a fault in the program rather than in
-its input, to exit code 4.
+Each class names one failure condition of the public API, and each is one
+of three kinds: an InputError (CLI exit code 2), SearchExhausted (exit
+code 3) or an InternalError, which signals a fault in the program rather
+than in its input (exit code 4). The three kinds cover every class, so the
+CLI maps them and nothing else.
 """
 
 
@@ -53,10 +54,6 @@ class FieldMismatch(InputError):
 
 
 class UnsupportedLevel(InputError):
-    pass
-
-
-class ExtensionCapExceeded(EllmasseyError):
     pass
 
 

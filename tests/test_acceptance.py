@@ -300,3 +300,40 @@ def test_criterion_11_abstract_checkers(tmp_path, capsys):
         out = check(payload, "11")
         assert out["exists_non_vanishing_chi"] is False
     _report(11, f"theorem checkers reproduce all stated branches ({time.monotonic()-t0:.0f}s)")
+
+
+def _class_representatives(p):
+    """The first nonsingular pair (a, b) of each GF(p)-isomorphism class."""
+    first = {}
+    for a, b in itertools.product(range(p), repeat=2):
+        if (4 * a**3 + 27 * b * b) % p:
+            first.setdefault(ec.class_key(a, b, p), (a, b))
+    return list(first.values())
+
+
+def test_engine_equals_oracle_on_every_isomorphism_class_of_small_fields():
+    """Criteria 3-5 beyond the fixtures: one curve per GF(p)-isomorphism class
+    at l = 3 (p = 5, 7, 11, 13), l = 5 (p = 7, 11) and l = 7 (p = 5); every
+    same-character triple and 60 seeded random triples per class agree with
+    the oracle."""
+    t0 = time.monotonic()
+    classes = {3: 0, 5: 0, 7: 0}
+    cases = set()
+    mismatches = 0
+    for ell, primes in ((3, (5, 7, 11, 13)), (5, (7, 11)), (7, (5,))):
+        for p in primes:
+            F = ff.make_field(p, 1)
+            for a, b in _class_representatives(p):
+                g = galois.build_gbar(ec.curve_new(F, a, b), ell)
+                classes[ell] += 1
+                cases.add((ell, g.case))
+                chars = g.characters()
+                rng = random.Random(f"{p} {a} {b}")
+                triples = [(chi, chi, chi) for chi in chars]
+                triples += [tuple(rng.choice(chars) for _ in range(3)) for _ in range(60)]
+                mismatches += _agreement_sweep(g, triples)
+    assert mismatches == 0
+    assert classes == {3: 84, 5: 40, 7: 12}
+    assert {case for level, case in cases if level == 3} == set(galois.GaloisCase)
+    _report("3-5", f"{sum(classes.values())} isomorphism classes vs oracle, 0 mismatches "
+                   f"({time.monotonic()-t0:.0f}s)")

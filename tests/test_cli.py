@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, output schema, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -276,6 +277,34 @@ def test_analyze_no_fixed_points_past_the_absolute_degree_cap_reports_null(capsy
         assert all(v["status"] == "ContainsZero" for v in data["verdicts"])
 
 
+def test_analyze_no_fixed_points_with_k0_past_the_cap_skips_factoring(capsys, monkeypatch):
+    # the report's degree is at least 2 * k0 = 26 > 24, so both matrices are
+    # null before psi_5 is factored over GF(11^13)
+    def no_factoring(curve, n):
+        raise AssertionError("psi_l factored although k0 alone breaks the report cap")
+
+    monkeypatch.setattr(ec, "_torsion_field_degree", no_factoring)
+    code, data = run_json(
+        capsys, "analyze", "--p", "11", "--k0", "13", "--a", "1", "--b", "1", "--ell", "5",
+        "--triples", "sample", "0",
+    )
+    assert code == 0
+    assert data["case"] == "no_fixed_points"
+    assert data["frobenius_matrix_l"] is None
+    assert data["frobenius_matrix_lprime"] is None
+
+
+def test_torsion_field_past_the_extension_cap_is_an_input_error(capsys):
+    # E[5] of y^2 = x^3 + x + 1 over GF(7^49) lies over GF(7^196): the message
+    # is ff.make_field's, without a class name, as for every input error
+    code, data = run_json(
+        capsys, "analyze", "--p", "7", "--k0", "49", "--a", "1", "--b", "1", "--ell", "5",
+        "--triples", "sample", "0",
+    )
+    assert code == 2
+    assert data == {"error": {"message": "extension degree 196 outside 1..96"}}
+
+
 def test_analyze_no_fixed_points_over_a_large_prime(capsys):
     # E[3] lies over GF(p^4) with p = 1000003 = 3 (mod 4): the field's scan
     # rules out the 10^6 binomials X^4 + c at once
@@ -381,6 +410,40 @@ def test_verify_exhaustive_no_fixed_points_ell5(capsys):
     assert data["case"] == "no_fixed_points"
     assert data["checked"] == 125
     assert data["mismatches"] == []
+
+
+def test_verify_mismatch_exits_1_with_one_row_per_mismatch(capsys, monkeypatch):
+    from ellmassey import ff, galois, massey
+    from ellmassey.massey import MasseyVerdict, VerdictStatus
+    from ellmassey.oracle import oracle_contains_zero, oracle_nonempty
+
+    forced = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "forced")
+    monkeypatch.setattr(massey, "triple_verdict", lambda c1, c2, c3, g: forced)
+    code, data = run_json(capsys, "verify", "--p", "5", "--a", "0", "--b", "1", "--ell", "3")
+    assert code == 1
+    group = galois.build_gbar(ec.curve_new(ff.make_field(5, 1), 0, 1), 3)
+    chars = group.characters()
+    assert data["checked"] == len(chars) ** 3
+    expected = []
+    for c1, c2, c3 in itertools.product(chars, repeat=3):
+        if not oracle_nonempty(c1, c2, c3, group):
+            status = "Empty"
+        elif oracle_contains_zero(c1, c2, c3, group):
+            continue
+        else:
+            status = "NonVanishing"
+        expected.append(
+            {
+                "chi1": list(c1.values),
+                "chi2": list(c2.values),
+                "chi3": list(c3.values),
+                "engine": "ContainsZero",
+                "oracle": status,
+            }
+        )
+    assert expected
+    assert all(set(row) == {"chi1", "chi2", "chi3", "engine", "oracle"} for row in data["mismatches"])
+    assert data["mismatches"] == expected
 
 
 @pytest.mark.parametrize("count", ["x", "abc", "1.5", "-3"])
@@ -626,6 +689,12 @@ def test_search_limit_below_one_exit_2(capsys, limit):
     )
     assert code == 2
     assert "--limit" in data["error"]["message"]
+
+
+def test_search_max_p_past_the_point_count_cap_exit_2(capsys):
+    code, data = run_json(capsys, "search", "--ell", "3", "--case", "split", "--max-p", "50022")
+    assert code == 2
+    assert data == {"error": {"message": f"--max-p capped at {ec.POINT_COUNT_CAP}"}}
 
 
 def test_galois_check_examples(tmp_path, capsys):

@@ -11,6 +11,7 @@ import fixtures
 from ellmassey import ec, ff, galois
 from ellmassey.errors import (
     BadCharacteristic,
+    DegreeTooLarge,
     FieldMismatch,
     FieldTooLarge,
     InternalError,
@@ -291,6 +292,14 @@ def test_torsion_basis_deterministic():
     b1 = ec.torsion_basis(c, 9)
     b2 = ec.torsion_basis(c, 9)
     assert b1.P == b2.P and b1.Q == b2.Q and b1.k == b2.k
+
+
+def test_torsion_basis_past_the_extension_cap_raises_degree_too_large():
+    # E[3] of y^2 = x^3 + x + 1 over GF(5^49) lies over an extension of degree
+    # 2 of it, GF(5^98), past ff.MAX_EXT_DEGREE: make_field's own check rejects it
+    F = ff.make_field(5, 49)
+    with pytest.raises(DegreeTooLarge, match="extension degree 98 outside 1..96"):
+        ec.torsion_basis(ec.curve_new(F, F.element(1), F.element(1)), 3)
 
 
 def test_frobenius_matrix_identity_on_rational_torsion():

@@ -13,13 +13,29 @@ import ellmassey
 
 
 def test_no_assert_statements_in_package():
-    """Internal checks raise errors: an assert vanishes under python -O."""
+    """Internal checks raise errors: an assert vanishes under python -O.
+    Every ``.py`` file under ``src/`` is read, at any depth."""
+    src = Path(ellmassey.__file__).resolve().parent.parent
     found = []
-    for path in sorted(Path(ellmassey.__file__).parent.glob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
     assert found == []
+
+
+def test_every_package_error_is_one_of_three_kinds():
+    """The CLI maps InputError to exit 2, SearchExhausted to 3 and
+    InternalError to 4, and nothing else: each error class is one kind."""
+    from ellmassey import errors
+
+    kinds = (errors.InputError, errors.SearchExhausted, errors.InternalError)
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj is not errors.EllmasseyError
+    ]
+    assert len(classes) > len(kinds)
+    assert [c.__name__ for c in classes if not issubclass(c, kinds)] == []
 
 
 def test_cli_import_loads_only_shared_modules():
