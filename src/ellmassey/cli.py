@@ -115,8 +115,16 @@ def cmd_search(args) -> int:
                 classes[key] = None
                 if galois.case_from_rank(rank, p, ell) is wanted:
                     basis = ec.torsion_basis(rep, ell)
+                    A0, count = ec.frobenius_matrix(basis), ec.count_points(rep)
+                    # Frobenius satisfies X^2 - tX + p with t = p + 1 - #E; the det is checked already
+                    trace = (A0[0][0] + A0[1][1]) % ell
+                    if (trace - (p + 1 - count)) % ell:
+                        raise InternalError(
+                            f"class {key} over GF({p}): Frobenius trace {trace} differs from "
+                            f"p + 1 - #E = {p + 1 - count} mod {ell}"
+                        )
                     orbit = {(u**4 * a % p, u**6 * b % p): u for u in range(1, p)}
-                    classes[key] = (rank, basis, ec.frobenius_matrix(basis), ec.count_points(rep), orbit)
+                    classes[key] = (rank, basis, A0, count, orbit)
             if classes[key] is None:
                 continue
             rank, basis, A0, count, orbit = classes[key]
@@ -256,8 +264,8 @@ def _report_matrices(curve, group):
 
     if past_caps(2 * curve.base.k):
         return None, None
-    _, factors = ec._torsion_field_degree(curve, group.ell)
-    if past_caps(curve.base.k * 2 * math.lcm(*(d for d, _ in factors))):
+    _, stages = ec._torsion_field_degree(curve, group.ell)
+    if past_caps(curve.base.k * 2 * math.lcm(*(d for d, _ in stages))):
         return None, None
     A = ec.frobenius_matrix(ec.torsion_basis(curve, group.ell))
     return A, A if group.ell == group.ell_prime else None

@@ -325,9 +325,14 @@ def _division_raw(curve: Curve, n: int) -> list:
 def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     """Deterministic basis of E[n] over the least extension containing it.
 
-    The torsion field degree comes from the factor degrees of psi_n over the
-    base (all x-coordinates rational over the lcm; one quadratic doubling if
-    some y-coordinate needs it). All n^2 - 1 nonzero points are materialized
+    The torsion field degree k comes from the distinct-degree factorization
+    of psi_n over the base (all x-coordinates rational over the lcm of the
+    degrees; one quadratic doubling if some y-coordinate needs it), so a
+    field past ``ff.make_field``'s caps is refused before any equal-degree
+    split. Each irreducible factor of degree d, which divides k, contributes
+    the Frobenius orbit of one root x0 and one y0 with y0^2 = rhs(x0): the
+    points (x0^(q^i), +-y0^(q^i)), i < d, q the order of the base, with x0
+    back after exactly d steps. All n^2 - 1 nonzero points are materialized
     and sorted. As E[n] = (Z/n)^2 for n a power of the prime l, T has order n
     iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off the line
     <(n/l)P>. So P is the first point with (n/l)P != O and Q the first point
@@ -337,8 +342,9 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
     if n % curve.base.p == 0:
         raise BadCharacteristic("torsion level must be coprime to the characteristic")
-    k, factors = _torsion_field_degree(curve, n)
+    k, stages = _torsion_field_degree(curve, n)
     big = ff.make_field(curve.base.p, curve.base.k * k)
+    factors = ff.equal_degree_factors(curve.base, stages)
     points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
     if len(points) != n * n - 1:
         raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
@@ -357,33 +363,51 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
 
 @lru_cache(maxsize=32)
 def _torsion_field_degree(curve: Curve, n: int):
-    """(k, factors): least k with E[n] rational over F_{q^k}, via psi_n factors."""
+    """(k, stages): least k with E[n] rational over F_{q^k}, and the
+    distinct-degree factorization of psi_n over the base.
+
+    A stage's product G_d has rhs^((q^d - 1)/2) = 1 mod G_d exactly when
+    that holds mod each of its irreducible factors (CRT), so the stages
+    decide the quadratic doubling as the factors would.
+    """
     F = curve.base
-    factors = tuple(ff.factor_monic_squarefree(F, _division_raw(curve, n)))
-    k1 = lcm(*(d for d, _ in factors))
+    stages = tuple(ff.distinct_degree_factors(F, _division_raw(curve, n)))
+    k1 = lcm(*(d for d, _ in stages))
     need_double = False
     a, b = curve.a.coeffs, curve.b.coeffs
     h = [b, a, F.zero_raw, F.one_raw]
-    for d, g in factors:
+    for d, g in stages:
         if (k1 // d) % 2 == 0:
             continue  # odd-degree value becomes a square after the even step anyway
         s = ff.poly_powmod(F, h, (F.order**d - 1) // 2, g)
         if s != [F.one_raw]:
             need_double = True
             break
-    return (2 * k1 if need_double else k1), factors
+    return (2 * k1 if need_double else k1), stages
 
 
 def _all_torsion_points(E: Curve, factors, emb) -> list[CurvePoint]:
+    """The points over the x-roots of the factors, by Frobenius orbits."""
+    F = E.base
+    K, q = emb.dst.k // emb.src.k, emb.src.order
+    # a factor that does not split over F would keep one_root searching forever
+    if any(K % d for d, _ in factors):
+        raise InternalError(f"factor degrees {[d for d, _ in factors]} do not all divide {K}")
     out = []
-    for _, g in factors:
-        coeffs = [FieldElement(E.base, emb.raw(c)) for c in g]
-        for x0 in ff.roots_in_field(coeffs, E.base):
-            y = ff.sqrt_in_field(E.rhs(x0))
-            if y is None or y.is_zero():
-                raise InternalError(f"torsion x-coordinate {x0!r} has no nonzero y in the torsion field")
-            out.append(CurvePoint(E, x0, y))
-            out.append(CurvePoint(E, x0, -y))
+    for d, g in factors:
+        x0 = ff.one_root(F, [emb.raw(c) for c in g])
+        y0 = ff.sqrt_in_field(E.rhs(FieldElement(F, x0)))
+        if y0 is None or y0.is_zero():
+            raise InternalError(f"torsion x-coordinate {x0!r} has no nonzero y in the torsion field")
+        x, y = x0, y0.coeffs
+        for step in range(1, d + 1):
+            out.append(CurvePoint(E, FieldElement(F, x), FieldElement(F, y)))
+            out.append(CurvePoint(E, FieldElement(F, x), FieldElement(F, F.rneg(y))))
+            x = F.rpow(x, q)
+            if (x == x0) != (step == d):
+                raise InternalError(f"Frobenius orbit of {x0!r} does not close after exactly {d} steps")
+            if step < d:
+                y = F.rpow(y, q)
     return out
 
 

@@ -6,6 +6,7 @@ classifier; tests re-derive the case from scratch, so a regression in either
 side shows up as a mismatch here.
 """
 
+import itertools
 from functools import lru_cache
 
 from ellmassey import ec, ff, galois
@@ -48,3 +49,13 @@ def isomorphism_orbit(a: int, b: int, p: int) -> frozenset:
     """The GF(p)-isomorphism class of (a, b) as the orbit {(u^4 a, u^6 b): u != 0},
     marked pair by pair (the reference for ec.class_key)."""
     return frozenset(((u**4 * a) % p, (u**6 * b) % p) for u in range(1, p))
+
+
+def isomorphism_classes(p: int):
+    """The first (a, b) of each GF(p)-isomorphism class of nonsingular curves:
+    (a, b) ~ (u^4 a, u^6 b) for u != 0."""
+    seen = set()
+    for a, b in itertools.product(range(p), repeat=2):
+        if (4 * a**3 + 27 * b**2) % p and (a, b) not in seen:
+            seen.update(isomorphism_orbit(a, b, p))
+            yield a, b

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -294,12 +294,82 @@ def test_torsion_basis_deterministic():
     assert b1.P == b2.P and b1.Q == b2.Q and b1.k == b2.k
 
 
-def test_torsion_basis_past_the_extension_cap_raises_degree_too_large():
+def test_torsion_basis_past_the_extension_cap_raises_degree_too_large(monkeypatch):
     # E[3] of y^2 = x^3 + x + 1 over GF(5^49) lies over an extension of degree
-    # 2 of it, GF(5^98), past ff.MAX_EXT_DEGREE: make_field's own check rejects it
+    # 2 of it, GF(5^98), past ff.MAX_EXT_DEGREE: make_field's own check rejects
+    # it, after distinct-degree factorization and before any equal-degree split
+    def no_split(*args):
+        raise AssertionError("equal-degree splitting for a field past the cap")
+
+    ec._torsion_field_degree.cache_clear()
+    monkeypatch.setattr(ff, "_equal_degree_split", no_split)
     F = ff.make_field(5, 49)
     with pytest.raises(DegreeTooLarge, match="extension degree 98 outside 1..96"):
         ec.torsion_basis(ec.curve_new(F, F.element(1), F.element(1)), 3)
+
+
+def _split_factor_basis(curve, n):
+    """(P, Q, k, table) with every irreducible factor of psi_n split by
+    ff.roots_in_field: k is the lcm of the factor degrees, doubled when a
+    y-coordinate is missing there, and P, Q are chosen from the sorted
+    points as torsion_basis documents."""
+    base = curve.base
+    factors = ff.factor_monic_squarefree(base, ec._division_raw(curve, n))
+    k1 = lcm(*(d for d, _ in factors))
+    for k in (k1, 2 * k1):
+        big = ff.make_field(base.p, base.k * k)
+        E, emb = curve.over(big), ff.embed_field(base, big)
+        xs = [x for _, g in factors for x in ff.roots_in_field([emb.raw(c) for c in g], big)]
+        ys = [ff.sqrt_in_field(E.rhs(x)) for x in xs]
+        if None not in ys:
+            break
+    points = sorted(
+        (ec.CurvePoint(E, x, s) for x, y in zip(xs, ys) for s in (y, -y)), key=ec.CurvePoint.key
+    )
+    assert len(points) == n * n - 1
+    h = 3 if n == 9 else 1
+    P = next(T for T in points if not ec.scalar_mul(h, T).is_infinity)
+    line = {ec.scalar_mul(i * h, P).key() for i in range(n)}
+    Q = next(T for T in points if ec.scalar_mul(h, T).key() not in line)
+    return P, Q, k, ec._span_table(P, Q, n)
+
+
+ORBIT_CURVES = (
+    BASIS_CURVES
+    + [(p, 1, a, b, 9 if ell == 3 else ell) for (ell, _), (p, a, b) in sorted(fixtures.CURVES.items())]
+    + [(7, 1, 6, 6, 5), (47, 1, 35, 30, 9)]  # the analyze curves of the benchmark
+)
+
+
+@pytest.mark.parametrize("p,k0,a,b,n", ORBIT_CURVES)
+def test_torsion_basis_from_orbits_equals_the_split_of_every_factor(p, k0, a, b, n):
+    curve = ec.curve_new(ff.make_field(p, k0), a, b)
+    basis = ec.torsion_basis(curve, n)
+    assert (basis.P, basis.Q, basis.k, basis.table) == _split_factor_basis(curve, n)
+
+
+def test_factor_that_does_not_split_over_the_torsion_field_raises(monkeypatch):
+    # psi_3 of y^2 = x^3 + 1 over GF(5) has factors of degrees 1, 1, 2 and E[3]
+    # lies over GF(25); told GF(5) instead, the degree-2 factor has no root
+    # there, and without the check one_root would draw forever
+    curve = ec.curve_new(F5, 0, 1)
+    k, stages = ec._torsion_field_degree(curve, 3)
+    assert k == 2
+    monkeypatch.setattr(ec, "_torsion_field_degree", lambda c, n: (k // 2, stages))
+    with pytest.raises(InternalError, match=r"degrees \[1, 1, 2\] do not all divide 1"):
+        ec.torsion_basis(curve, 3)
+
+
+@pytest.mark.parametrize("p,n", [(5, 9), (7, 9), (11, 9), (13, 9), (7, 5), (11, 5)])
+def test_frobenius_matrix_has_det_q_and_trace_from_the_point_count(p, n):
+    """Frobenius satisfies X^2 - tX + q with t = q + 1 - #E(F_q), and
+    count_points shares no code with torsion_basis."""
+    F = ff.make_field(p, 1)
+    for a, b in fixtures.isomorphism_classes(p):
+        curve = ec.curve_new(F, a, b)
+        (m00, m01), (m10, m11) = ec.frobenius_matrix(ec.torsion_basis(curve, n))
+        assert (m00 * m11 - m01 * m10 - p) % n == 0, (a, b)
+        assert (m00 + m11 - (p + 1 - ec.count_points(curve))) % n == 0, (a, b)
 
 
 def test_frobenius_matrix_identity_on_rational_torsion():

@@ -584,6 +584,131 @@ def test_poly_powmod_reversal_padding_case():
     assert ref_powmod(F, base, 9, modulus) == [(1,)]
 
 
+# ---------------------------------------------------------------------------
+# the packed GF(p)[X] kernel against schoolbook references on int lists
+
+P80 = 2**80 - 65  # the largest prime below 2^80
+KERNEL_PRIMES = (3, 5, 251, 65521, 4294967291, 2**61 - 1, P80)
+KERNEL_DEGREES = (1, 2, 4, 12, 40)
+
+
+def sb_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def sb_mul(f, g, p):
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return sb_trim([c % p for c in out])
+
+
+def sb_divmod(f, g, p):
+    r, q = [c % p for c in f], [0] * max(0, len(f) - len(g) + 1)
+    inv = pow(g[-1], -1, p)
+    for top in range(len(r) - 1, len(g) - 2, -1):
+        c = r[top] * inv % p
+        q[top - len(g) + 1] = c
+        for j, b in enumerate(g):
+            r[top - len(g) + 1 + j] = (r[top - len(g) + 1 + j] - c * b) % p
+    return sb_trim(q), sb_trim(r[: len(g) - 1])
+
+
+def sb_gcd(f, g, p):
+    f, g = sb_trim(list(f)), sb_trim(list(g))
+    while g:
+        f, g = g, sb_divmod(f, g, p)[1]
+    return [c * pow(f[-1], -1, p) % p for c in f] if f else f
+
+
+def sb_powmod(base, e, m, p):
+    result, base = [1], sb_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            result = sb_divmod(sb_mul(result, base, p), m, p)[1]
+        e >>= 1
+        if e:
+            base = sb_divmod(sb_mul(base, base, p), m, p)[1]
+    return result
+
+
+def _int_modulus(rng, p, n):
+    """Degree n, leading coefficient any nonzero residue, a zero constant term at times."""
+    m = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+    if rng.random() < 0.25:
+        m[0] = 0
+    return m
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_ip_powmod_matches_schoolbook(p):
+    rng = random.Random(p)
+    for n in KERNEL_DEGREES:
+        # a 400-bit exponent at degree 40 costs the reference about a second
+        for e in (0, 1, 2, p) + ((rng.getrandbits(400),) if n < 40 else ()):
+            m = _int_modulus(rng, p, n)
+            # shorter than the modulus, or longer: reduced before the first step
+            base = [rng.randrange(p) for _ in range(rng.choice((n, 2 * n + 3)))]
+            assert ff._ip_powmod(base, e, m, p) == sb_powmod(base, e, m, p), (n, e)
+
+
+def _width_switches(n):
+    """(p below, p above) for each p at which the kernel's slot width grows,
+    both prime, up to the largest characteristic make_field accepts."""
+    top = ff.PRIME_CERTIFIED_BOUND
+    out, lo = [], 3
+    while ff._ip_slot_bytes(n, lo) < ff._ip_slot_bytes(n, top):
+        a, b = lo, top  # a keeps lo's width, b has a wider one
+        while b - a > 1:
+            mid = (a + b) // 2
+            a, b = (a, mid) if ff._ip_slot_bytes(n, mid) > ff._ip_slot_bytes(n, lo) else (mid, b)
+        below, above = a, b
+        while not ff.is_prime(below):
+            below -= 1
+        while not ff.is_prime(above):
+            above += 1
+        out.append((below, above))
+        lo = b
+    return out
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_ip_powmod_on_both_sides_of_every_slot_width_switch(n):
+    rng = random.Random(n)
+    switches = _width_switches(n)
+    widths = {ff._ip_slot_bytes(n, p) for pair in switches for p in pair}
+    assert {2, 4, 8, 9} <= widths, widths  # struct widths and byte slices both reached
+    for pair in switches:
+        for p in pair:
+            m = _int_modulus(rng, p, n)
+            full = [p - 1] * n  # the largest residues fill the slots most
+            for base, e in (([rng.randrange(p) for _ in range(n)], 5), (full, 2), (full, 3)):
+                assert ff._ip_powmod(base, e, m, p) == sb_powmod(base, e, m, p), (p, base, e)
+            assert ff._ip_powmod(full, 3, full + [1], p) == sb_powmod(full, 3, full + [1], p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_gcd_and_divmod_over_the_prime_field_match_schoolbook(p):
+    F = ff.make_field(p, 1)
+    rng = random.Random(p + 1)
+    for n in KERNEL_DEGREES:
+        g = _int_modulus(rng, p, n)
+        common = _int_modulus(rng, p, rng.randrange(0, n + 1))
+        for f in (
+            sb_trim([rng.randrange(p) for _ in range(rng.randrange(0, 2 * n + 3))]),
+            sb_mul(common, [rng.randrange(p) for _ in range(n + 1)], p),  # a nontrivial gcd
+            [],
+        ):
+            g2 = sb_mul(common, g, p)
+            q, r = ff.poly_divmod(F, [(c,) for c in f], [(c,) for c in g])
+            assert ([c for c, in q], [c for c, in r]) == sb_divmod(f, g, p), (n, f, g)
+            got = ff.poly_gcd(F, [(c,) for c in f], [(c,) for c in g2])
+            assert [c for c, in got] == sb_gcd(f, g2, p), (n, f, g2)
+
+
 def test_poly_kernel_properties():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
