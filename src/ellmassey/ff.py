@@ -122,7 +122,7 @@ def _ip_sub(f, g, p):
 
 def _ip_divmod(f, g, p):
     """(q, r) with f = q*g + r and deg r < deg g (g nonzero, any leading coefficient)."""
-    r, low = list(f), g[:-1]
+    r, low = _ip_trim(list(f)), g[:-1]
     inv_lc = pow(g[-1], p - 2, p)
     q = [0] * max(0, len(r) - len(low))
     while len(r) > len(low):
@@ -145,7 +145,7 @@ def _ip_elem(f, k):
 
 
 def _ip_gcd(f, g, p):
-    f, g = list(f), list(g)
+    f, g = _ip_trim(list(f)), _ip_trim(list(g))
     while g:
         f, g = g, _ip_rem(f, g, p)
     if f:
@@ -596,7 +596,7 @@ def poly_divmod(F, f, g):
     if F.k == 1:
         q, r = _ip_divmod([c for c, in f], [c for c, in g], F.p)
         return [(c,) for c in q], [(c,) for c in r]
-    f = list(f)
+    f = poly_trim(F, list(f))
     dg = len(g) - 1
     inv_lc = F.rinv(g[-1])
     q = [F.zero_raw] * max(0, len(f) - dg)
@@ -623,7 +623,7 @@ def poly_monic(F, f):
 def poly_gcd(F, f, g):
     if F.k == 1:
         return [(c,) for c in _ip_gcd([c for c, in f], [c for c, in g], F.p)]
-    f, g = list(f), list(g)
+    f, g = poly_trim(F, list(f)), poly_trim(F, list(g))
     while g:
         f, g = g, poly_rem(F, f, g)
     return poly_monic(F, f)

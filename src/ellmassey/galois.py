@@ -13,6 +13,9 @@ Frobenius action mod l:
                    (phi^{l'} - 1)E[l'] is everything since that map is
                    invertible here)
 
+At l = 5, 7 (l' = l) the case fixes the normalized action: I, ((1, 1), (0, 1))
+with constants 0, or diag(1, q mod l) with alpha = 0, as det = q (AEC III.8).
+
 Every element has the normal form (torsion vector, phi exponent), with
 (t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2); a group keeps its case and
 the normalized action of phi, not its elements. The relation set derived
@@ -350,7 +353,8 @@ def proportional(chi1: Character, chi2: Character) -> bool:
 # building the group from a curve
 
 def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
-    """Construct Gbar for the curve at the prime l, normalizing the basis.
+    """Construct Gbar for the curve at the prime l: from the case alone at
+    l = 5, 7 (see the module docstring), else by normalizing the E[9] basis.
 
     full_torsion: generators are the deterministic E[l'] basis itself.
     split_line:   the torsion part is E[l'] modulo the image of phi^{l'}-1,
@@ -360,7 +364,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     unipotent_line: m is the canonically first point of exact order l' whose
                   mod-l image moves under phi, mprime = (phi-1)m, and the
                   action matrix has first column (1 + l*alpha, l*gamma) and
-                  second column (1, 1); c = gamma for l = 3, else 0.
+                  second column (1, 1); c = gamma.
     no_fixed_points: the torsion part is trivial (phi^{l'}-1 is invertible).
     """
     if ell not in ec.SUPPORTED_ELLS:
@@ -373,6 +377,14 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
 
     if case is GaloisCase.NO_FIXED_POINTS:
         return GbarGroup(ell, case)
+    if ell > 3:
+        if case is GaloisCase.FULL_TORSION:
+            return GbarGroup(ell, case, mat_id())
+        if case is GaloisCase.UNIPOTENT_LINE:
+            return GbarGroup(ell, case, ((1, 1), (0, 1)),
+                             {"alpha": 0, "beta": 0, "gamma": 0, "delta": 0, "c": 0})
+        return GbarGroup(ell, case, ((1, 0), (0, q % ell)),
+                         {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None})
 
     basis = ec.torsion_basis(curve, lp)
     A = ec.frobenius_matrix(basis)
@@ -404,18 +416,14 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
         gamma, rem_g = divmod(An[1][0] % lp, ell)
         if rem_a or rem_g:
             raise CaseMismatch("unipotent action entries not congruent to identity mod l")
-        constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0,
-                     "c": gamma if ell == 3 else 0}
+        constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": gamma}
         return GbarGroup(ell, case, An, constants)
 
     if mat_sub(An, ((1, 0), (0, eps)), ell) != ((0, 0), (0, 0)):
         raise CaseMismatch("split normalization failed")
-    # the scalar An[0][0] is 1 + 3*alpha mod 9 at l = 3, and 1 at l > 3
-    if ell == 3:
-        constants = {"alpha": (An[0][0] - 1) // 3, "beta": An[0][1] // 3, "gamma": An[1][0] // 3,
-                     "delta": (An[1][1] - 2) // 3, "c": None}
-    else:
-        constants = {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
+    # the scalar An[0][0] is 1 + 3*alpha mod 9
+    constants = {"alpha": (An[0][0] - 1) // 3, "beta": An[0][1] // 3, "gamma": An[1][0] // 3,
+                 "delta": (An[1][1] - 2) // 3, "c": None}
     return GbarGroup(ell, case, An, constants)
 
 

@@ -295,14 +295,31 @@ def test_analyze_no_fixed_points_with_k0_past_the_cap_skips_factoring(capsys, mo
 
 
 def test_torsion_field_past_the_extension_cap_is_an_input_error(capsys):
-    # E[5] of y^2 = x^3 + x + 1 over GF(7^49) lies over GF(7^196): the message
-    # is ff.make_field's, without a class name, as for every input error
+    # y^2 = x^3 + 2x + 3 over GF(7^33) has full 3-torsion, so build_gbar needs
+    # E[9], which lies over GF(7^99): the message is ff.make_field's, without a
+    # class name, as for every input error
+    code, data = run_json(
+        capsys, "analyze", "--p", "7", "--k0", "33", "--a", "2", "--b", "3", "--ell", "3",
+        "--triples", "sample", "0",
+    )
+    assert code == 2
+    assert data == {"error": {"message": "extension degree 99 outside 1..96"}}
+
+
+def test_fixed_line_at_ell5_needs_no_torsion_field(capsys, monkeypatch):
+    # E[5] of y^2 = x^3 + x + 1 over GF(7^49) lies over GF(7^196), past the
+    # cap, but its fixed line alone decides the group: 7^49 = 2 (mod 5)
+    def refuse(curve, n):
+        raise AssertionError("torsion basis built")
+
+    monkeypatch.setattr(ec, "torsion_basis", refuse)
     code, data = run_json(
         capsys, "analyze", "--p", "7", "--k0", "49", "--a", "1", "--b", "1", "--ell", "5",
         "--triples", "sample", "0",
     )
-    assert code == 2
-    assert data == {"error": {"message": "extension degree 196 outside 1..96"}}
+    assert code == 0
+    assert data["case"] == "split_line"
+    assert data["frobenius_matrix_l"] == data["frobenius_matrix_lprime"] == [[1, 0], [0, 2]]
 
 
 def test_analyze_no_fixed_points_over_a_large_prime(capsys):
@@ -621,6 +638,39 @@ def test_search_decides_the_rank_once_per_isomorphism_class(capsys, monkeypatch)
         p, a, b = r["p"], r["a"], r["b"]
         symbols = [pow(x**3 + a * x + b, (p - 1) // 2, p) for x in range(p)]
         assert r["points"] == p + 1 + symbols.count(1) - symbols.count(p - 1)
+
+
+def test_fixed_line_groups_at_ell5_and_ell7_build_no_torsion_basis(capsys, monkeypatch):
+    """analyze and verify read an l = 5, 7 group with a fixed line off its
+    case; only the no-fixed-points report builds E[l] and its matrix."""
+    import fixtures
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ec, "torsion_basis", counted("basis", ec.torsion_basis))
+    monkeypatch.setattr(ec, "frobenius_matrix", counted("matrix", ec.frobenius_matrix))
+    for ell, case in [(5, "split_line"), (5, "unipotent_line"), (5, "full_torsion"),
+                      (7, "split_line"), (7, "unipotent_line")]:
+        p, a, b = fixtures.CURVES[(ell, case)]
+        curve = ("--p", str(p), "--a", str(a), "--b", str(b), "--ell", str(ell))
+        code, data = run_json(capsys, "analyze", *curve, "--triples", "sample", "5")
+        assert (code, data["case"]) == (0, case)
+        code, data = run_json(capsys, "verify", *curve, "--mode", "sample", "5")
+        assert (code, data["mismatches"]) == (0, [])
+    assert calls == []
+
+    p, a, b = fixtures.CURVES[(5, "no_fixed_points")]
+    code, data = run_json(capsys, "analyze", "--p", str(p), "--a", str(a), "--b", str(b), "--ell", "5")
+    assert (code, data["case"]) == (0, "no_fixed_points")
+    assert data["frobenius_matrix_l"] is not None
+    assert calls == ["basis", "matrix"]
 
 
 def test_search_with_a_pair_off_its_class_orbit_exits_4_without_rows(capsys, monkeypatch):

@@ -709,6 +709,22 @@ def test_poly_gcd_and_divmod_over_the_prime_field_match_schoolbook(p):
             assert [c for c, in got] == sb_gcd(f, g2, p), (n, f, g2)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2)])
+def test_poly_divmod_and_gcd_trim_zero_top_coefficients(p, k):
+    """A dividend or gcd operand may carry zero top coefficients: a remainder
+    comes back trimmed, and gcd never divides by a zero leading coefficient."""
+    F = ff.make_field(p, k)
+    zero, one = F.zero_raw, F.one_raw
+    minus_one = F.rsub(zero, one)
+    q, r = ff.poly_divmod(F, [one, zero], [one, one, one])
+    assert (q, r) == ([], [one])
+    q, r = ff.poly_divmod(F, [zero, one, one, one, zero, zero], [one, one])
+    assert (q, r) == ([one, zero, one], [minus_one])  # X^3 + X^2 + X = (X^2 + 1)(X + 1) - 1
+    assert ff.poly_gcd(F, [minus_one, zero, one, zero], [one, one, zero]) == [one, one]  # X^2 - 1, X + 1
+    assert ff.poly_gcd(F, [one, zero, zero], [one, one, zero]) == [one]
+    assert ff.poly_gcd(F, [one, zero], [one, one, one]) == [one]
+
+
 def test_poly_kernel_properties():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

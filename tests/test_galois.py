@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -133,11 +134,37 @@ def test_class_key_is_a_complete_isomorphism_invariant(p):
     assert len(by_key) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
 
 
+def _normalized_at_prime_level(basis, A, case, q):
+    """(action, constants) of a fixed-line group at l = 5, 7 by build_gbar's
+    l = 3 normalization carried out at level l on the E[l] basis and its
+    Frobenius matrix A: A itself for full torsion, else A in the basis
+    (mprime, m) of a unipotent line, m the first moved point, or in the first
+    eigenvectors for 1 and q of a split one. The reference for the groups
+    build_gbar reads off the case."""
+    ell = basis.n
+    if case is GaloisCase.FULL_TORSION:
+        return A, None
+    if case is GaloisCase.UNIPOTENT_LINE:
+        m = next(v for _, v in sorted(basis.table.items()) if mat_apply(A, v, ell) != v)
+        mp = mat_apply(galois.mat_sub(A, mat_id(), ell), m, ell)
+        An = galois.mat_conj(A, ((mp[0], m[0]), (mp[1], m[1])), ell)
+        alpha, gamma = (An[0][0] - 1) % ell // ell, An[1][0] % ell // ell
+        return An, {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": 0}
+    v1, v2 = (
+        next(v for v in itertools.product(range(ell), repeat=2)
+             if v != (0, 0) and mat_apply(A, v, ell) == (lam * v[0] % ell, lam * v[1] % ell))
+        for lam in (1, q % ell)
+    )
+    An = galois.mat_conj(A, ((v1[0], v2[0]), (v1[1], v2[1])), ell)
+    return An, {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
+
+
 def test_case_from_rank_matches_classify_case_on_small_fields():
     """Every nonsingular curve up to isomorphism, which keeps the rank and
     conjugates the Frobenius matrix. At the two l = 7 fields only classes of
     rank >= 1 get a matrix: their 80 rank-0 classes put E[7] over fields of
-    degree up to 48 and cost about 3.7 s together on a 2-core host."""
+    degree up to 48 and cost about 3.7 s together on a 2-core host. At l = 5, 7
+    a class with a fixed line gets the group its basis normalizes to."""
     reached = {3: set(), 5: set(), 7: set()}
     for p, ell, every_rank in [
         (5, 3, True), (7, 3, True), (11, 5, True),
@@ -149,10 +176,43 @@ def test_case_from_rank_matches_classify_case_on_small_fields():
             rank = ec.rational_torsion_rank(curve, ell)
             if rank or every_rank:
                 case = case_from_rank(rank, p, ell)
-                assert classify_case(ec.frobenius_matrix(ec.torsion_basis(curve, ell)), ell) is case
+                basis = ec.torsion_basis(curve, ell)
+                A = ec.frobenius_matrix(basis)
+                assert classify_case(A, ell) is case
                 reached[ell].add(case)
+                if rank and ell > 3:
+                    g = build_gbar(curve, ell)
+                    assert (g.action, g.constants) == _normalized_at_prime_level(basis, A, case, p)
     assert reached[3] == reached[5] == set(GaloisCase)
     assert reached[7] == {GaloisCase.SPLIT_LINE, GaloisCase.UNIPOTENT_LINE}
+
+
+def test_ell3_normalized_action_matches_the_point_count():
+    """The level-9 action of every l = 3 group with a fixed line is a Frobenius
+    matrix, so its det is q and its trace t = q + 1 - #E(F_q) mod 9 (Silverman,
+    AEC V.2.3.1). Then the unipotent action ((1 + 3 alpha, 1), (3 gamma, 1)) is
+    ((t - 1, 1), (t - 1 - q, 1)), and the split diagonal holds the roots of
+    X^2 - tX + q, 1 then 2 mod 3. count_points shares no code with build_gbar."""
+    reached = Counter()
+    for p in (5, 7, 11, 13):
+        F = ff.make_field(p, 1)
+        for a, b in fixtures.isomorphism_classes(p):
+            curve = ec.curve_new(F, a, b)
+            g = build_gbar(curve, 3)
+            if g.action is None:
+                continue
+            reached[g.case] += 1
+            t = p + 1 - ec.count_points(curve)
+            (m00, m01), (m10, m11) = g.action
+            assert (m00 * m11 - m01 * m10 - p) % 9 == 0 and (m00 + m11 - t) % 9 == 0, (p, a, b)
+            if g.case is GaloisCase.UNIPOTENT_LINE:
+                assert g.action == (((t - 1) % 9, 1), ((t - 1 - p) % 9, 1)), (p, a, b)
+            elif g.case is GaloisCase.SPLIT_LINE:
+                assert (m00 % 3, m11 % 3) == (1, 2), (p, a, b)
+                assert all((x * x - t * x + p) % 9 == 0 for x in (m00, m11)), (p, a, b)
+    assert reached == {
+        GaloisCase.SPLIT_LINE: 14, GaloisCase.UNIPOTENT_LINE: 16, GaloisCase.FULL_TORSION: 3,
+    }
 
 
 def test_split_line_alpha_ell3():

@@ -6,8 +6,10 @@ the Frobenius action became a plain matrix, the next six searches before
 search began to work once per isomorphism class, and the last four
 searches, which print every row they find, before each row's matrix was
 read off its class by a change of basis, and the four full l = 7 tables
-before ``--triples all`` began to decide cups per pair and stream its rows.
-So a refactor that changes any
+before ``--triples all`` began to decide cups per pair and stream its rows,
+and the last four l = 5 and l = 7 analyses (two split lines and a unipotent
+one over GF(p^2), and full torsion) before those groups were read off the
+Galois case instead of a torsion basis. So a refactor that changes any
 output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -57,6 +59,10 @@ GOLDEN = (
     ("analyze --p 23 --a 1 --b 1 --ell 7 --triples all --format csv", 0, "038631f56054f344a37cfab4dcc4252da9dbb0e3a654f0f555c486e893ab03a9"),
     ("analyze --p 29 --a 1 --b 7 --ell 7 --triples all", 0, "3b9b8a39194358e42d026bbe88bff0d5d01693c4e1bd24ac1b909e0fb7228512"),
     ("analyze --p 29 --a 1 --b 7 --ell 7 --triples all --format csv", 0, "367a5cac37ea3ecf5889de05218eac9ff5d5ec212750d2288ce75e1715a041fc"),
+    ("analyze --p 7 --k0 2 --a 1 --b 1 --ell 5 --triples same-char", 0, "717ab5da7e1dc5656eafce99ea2fccdee805a1ce5485ca0487900d501579adac"),
+    ("analyze --p 5 --k0 2 --a 2 --b 1 --ell 7 --triples same-char", 0, "f60421d9183b3138628fc79bd06ec3844e42a48620966d6c5e6d7d0faefe64bc"),
+    ("analyze --p 11 --k0 2 --a 1 --b 1 --ell 5 --triples same-char", 0, "7cc20e64c6ade4100b1d1fbeca99c7a89921446a96aa15f24c73141306040632"),
+    ("analyze --p 31 --a 0 --b 11 --ell 5 --triples same-char", 0, "16fed898e792a55dd25bed67cbd0667f87c5a33136d03f3c1fad6712455e1cd6"),
 )
 
 
