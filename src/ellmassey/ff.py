@@ -591,6 +591,8 @@ def poly_mul(F, f, g):
 
 
 def poly_divmod(F, f, g):
+    if g and g[-1] == F.zero_raw:
+        g = poly_trim(F, list(g))
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if F.k == 1:
@@ -638,6 +640,10 @@ def poly_powmod(F, base, e: int, modulus):
     A slot of that sum holds at most (2n-1)k residue products, k - 1 more
     after the fold. Over GF(p) itself the work goes to ``_ip_powmod``.
     """
+    if modulus and modulus[-1] == F.zero_raw:
+        modulus = poly_trim(F, list(modulus))
+    if not modulus:
+        raise ZeroDivisionError("polynomial division by zero")
     if F.k == 1:
         return [(c,) for c in _ip_powmod([c for c, in base], e, [c for c, in modulus], F.p)]
     base = poly_rem(F, base, modulus) if len(base) >= len(modulus) else poly_trim(F, list(base))

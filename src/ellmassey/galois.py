@@ -15,6 +15,11 @@ Frobenius action mod l:
 
 At l = 5, 7 (l' = l) the case fixes the normalized action: I, ((1, 1), (0, 1))
 with constants 0, or diag(1, q mod l) with alpha = 0, as det = q (AEC III.8).
+At l = 3 the E[9] Frobenius matrix A is read after one check, that its shape
+mod 3 is the case the rank gave. Then A satisfies X^2 - tX + q, t its trace
+(AEC V.2.3.1), so on (mprime, m) a unipotent action is ((t - 1, 1),
+(t - 1 - q, 1)) mod 9 for any m moved mod 3; a split one is A on the first
+eigenvectors for 1 and q mod 3, the kernels of one row of A - 1 and of A - q.
 
 Every element has the normal form (torsion vector, phi exponent), with
 (t1, e1)(t2, e2) = (t1 + xi^{e1} t2, e1 + e2); a group keeps its case and
@@ -354,17 +359,21 @@ def proportional(chi1: Character, chi2: Character) -> bool:
 
 def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
     """Construct Gbar for the curve at the prime l: from the case alone at
-    l = 5, 7 (see the module docstring), else by normalizing the E[9] basis.
+    l = 5, 7 (see the module docstring), else from the E[9] Frobenius matrix A.
+
+    At l = 3 the case given by the rank must be the shape of A mod 3, or
+    CaseMismatch is raised; every normalization below follows from it.
 
     full_torsion: generators are the deterministic E[l'] basis itself.
     split_line:   the torsion part is E[l'] modulo the image of phi^{l'}-1,
                   cyclic of order l', generated by (the class of) a lift of
                   the canonical fixed vector; the action is the scalar
-                  1 + l*alpha.
-    unipotent_line: m is the canonically first point of exact order l' whose
-                  mod-l image moves under phi, mprime = (phi-1)m, and the
-                  action matrix has first column (1 + l*alpha, l*gamma) and
-                  second column (1, 1); c = gamma.
+                  1 + l*alpha. A is normalized on the first eigenvectors for
+                  1 and q mod 3, the kernels of a row of A - 1 and of A - q.
+    unipotent_line: mprime = (phi-1)m for any m moved mod 3, and on
+                  (mprime, m) Cayley-Hamilton (phi^2 = t phi - q, t the trace
+                  of A) makes the action ((t - 1, 1), (t - 1 - q, 1)): first
+                  column (1 + l*alpha, l*gamma), second (1, 1); c = gamma.
     no_fixed_points: the torsion part is trivial (phi^{l'}-1 is invertible).
     """
     if ell not in ec.SUPPORTED_ELLS:
@@ -386,64 +395,40 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
         return GbarGroup(ell, case, ((1, 0), (0, q % ell)),
                          {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None})
 
-    basis = ec.torsion_basis(curve, lp)
-    A = ec.frobenius_matrix(basis)
+    A = ec.frobenius_matrix(ec.torsion_basis(curve, lp))
+    shape = classify_case(A, ell)
+    if shape is not case:
+        raise CaseMismatch(f"rank gives {case.value} but the Frobenius matrix is {shape.value}")
 
     if case is GaloisCase.FULL_TORSION:
-        if mat_sub(A, mat_id(), ell) != ((0, 0), (0, 0)):
-            raise CaseMismatch("full torsion case but phi is not trivial mod l")
         return GbarGroup(ell, case, A)
-
-    # the normalized basis: (mprime, m) for a unipotent line, eigenvectors
-    # (v1, v2) for eigenvalues (1, q) mod l on a split one
     if case is GaloisCase.UNIPOTENT_LINE:
-        m_vec = _first_moved_vector(basis, A, ell)
-        mp_vec = mat_apply(mat_sub(A, mat_id(), lp), m_vec, lp)
-        T = ((mp_vec[0], m_vec[0]), (mp_vec[1], m_vec[1]))
-    else:
-        eps = q % ell
-        v1 = _first_eigenvector(A, 1, ell)
-        v2 = _first_eigenvector(A, eps, ell)
-        if v1 is None or v2 is None:
-            raise CaseMismatch("split case but eigenvectors not found mod l")
-        T = ((v1[0], v2[0]), (v1[1], v2[1]))
-    An = mat_conj(A, T, lp)
+        t = (A[0][0] + A[1][1]) % lp
+        alpha, gamma = (t - 2) % lp // ell, (t - 1 - q) % lp // ell
+        return GbarGroup(ell, case, ((1 + ell * alpha, 1), (ell * gamma, 1)),
+                         {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": gamma})
 
-    if case is GaloisCase.UNIPOTENT_LINE:
-        if An[0][1] != 1 % lp or An[1][1] != 1 % lp:
-            raise CaseMismatch("unipotent normalization failed")
-        alpha, rem_a = divmod((An[0][0] - 1) % lp, ell)
-        gamma, rem_g = divmod(An[1][0] % lp, ell)
-        if rem_a or rem_g:
-            raise CaseMismatch("unipotent action entries not congruent to identity mod l")
-        constants = {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": gamma}
-        return GbarGroup(ell, case, An, constants)
-
-    if mat_sub(An, ((1, 0), (0, eps)), ell) != ((0, 0), (0, 0)):
-        raise CaseMismatch("split normalization failed")
+    v1, v2 = (
+        first_kernel_vector(next(row for row in mat_sub(A, ((lam, 0), (0, lam)), ell) if any(row)))
+        for lam in (1, q)
+    )
+    An = mat_conj(A, ((v1[0], v2[0]), (v1[1], v2[1])), lp)
     # the scalar An[0][0] is 1 + 3*alpha mod 9
     constants = {"alpha": (An[0][0] - 1) // 3, "beta": An[0][1] // 3, "gamma": An[1][0] // 3,
                  "delta": (An[1][1] - 2) // 3, "c": None}
     return GbarGroup(ell, case, An, constants)
 
 
-def _first_moved_vector(basis: ec.TorsionBasis, A, ell: int):
-    """First point (in canonical point order) not fixed mod l; it has exact order l'."""
-    Abar = tuple(tuple(v % ell for v in r) for r in A)
-    for _, vec in sorted(basis.table.items()):
-        vbar = (vec[0] % ell, vec[1] % ell)
-        if mat_apply(Abar, vbar, ell) != vbar:
-            return vec
-    raise CaseMismatch("no moved torsion vector found")
-
-
-def _first_eigenvector(A, lam, ell):
-    for i, j in itertools.product(range(ell), repeat=2):
-        if (i, j) == (0, 0):
-            continue
-        if mat_apply(A, (i, j), ell) == ((lam * i) % ell, (lam * j) % ell):
-            return (i, j)
-    return None
+def first_kernel_vector(row):
+    """Lexicographically first vector (i, j), entries in 0..2 and not both 0,
+    with x1*i + x2*j = 0 mod 3 for the row (x1, x2) nonzero mod 3: (0, 1) if
+    x2 = 0 mod 3, else (1, -x1/x2) = (1, -x1*x2). As a vector of (Z/9)^2 it is
+    the first of order 9 killed by a character with torsion restriction
+    (x1, x2); for a nonzero row of A - lam mod 3 it is the first eigenvector."""
+    x1, x2 = row
+    if x2 % 3 == 0:
+        return (0, 1)
+    return (1, (-x1 * x2) % 3)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .galois import (
     GbarGroup,
     character_values_valid,
     check_group,
+    first_kernel_vector,
     mat_apply,
     mat_det,
     mat_sub,
@@ -201,7 +202,7 @@ def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
 def _moved_kernel_vector(g: GbarGroup, torsion_values):
     """(a, xi a) for the first order-9 vector a with chi(a) = 0 if Frobenius
     moves it off its line (then it moves every such vector, lemma (1))."""
-    a = _first_kernel_vector(torsion_values)
+    a = first_kernel_vector(torsion_values)
     image = mat_apply(g.xi, a, 9)
     return None if _in_cyclic_span(image, a) else (a, image)
 
@@ -231,16 +232,6 @@ def bockstein_vanishes(chi: Character, g: GbarGroup) -> bool:
 # ---------------------------------------------------------------------------
 # abstract checkers (l = 3, level 9)
 
-def _first_kernel_vector(chi_torsion):
-    """Lexicographically first order-9 vector (i, j) of (Z/9)^2 killed by the
-    nonzero torsion restriction (x1, x2): (0, 1) if x2 = 0 mod 3; else no
-    (0, j) of order 9 is killed, and the first is (1, -x1/x2) = (1, -x1*x2)."""
-    x1, x2 = chi_torsion
-    if x2 % 3 == 0:
-        return (0, 1)
-    return (1, (-x1 * x2) % 3)
-
-
 def thm52_check(data: AbstractGaloisData) -> MasseyVerdict:
     """Whether <chi, chi, chi> fails to contain zero, from abstract data.
 
@@ -254,7 +245,7 @@ def thm52_check(data: AbstractGaloisData) -> MasseyVerdict:
     """
     if data.chi_on_torsion == (0, 0):
         return MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "zero-torsion-restriction")
-    a = _first_kernel_vector(data.chi_on_torsion)
+    a = first_kernel_vector(data.chi_on_torsion)
     for mat, _ in sorted(data.closure):
         image = mat_apply(mat, a, 9)
         if not _in_cyclic_span(image, a):

@@ -337,3 +337,61 @@ def test_engine_equals_oracle_on_every_isomorphism_class_of_small_fields():
     assert {case for level, case in cases if level == 3} == set(galois.GaloisCase)
     _report("3-5", f"{sum(classes.values())} isomorphism classes vs oracle, 0 mismatches "
                    f"({time.monotonic()-t0:.0f}s)")
+
+
+def _every_group():
+    """Every group build_gbar can return, as far as the engine and the oracle
+    read it: the case, l, the action and the constant c. At l = 3 a
+    full-torsion action is any matrix = I mod 3 with entries mod 9, a
+    unipotent one is ((1 + 3 alpha, 1), (3 gamma, 1)) with c = gamma, and a
+    split presentation reads only the scalar 1 + 3 alpha; at l = 5, 7 the
+    case fixes the group (the split one reads only its (0, 0) entry, 1)."""
+    G, C = galois.GbarGroup, galois.GaloisCase
+    groups = [
+        G(3, C.FULL_TORSION, ((1 + 3 * a, 3 * b), (3 * c, 1 + 3 * d)))
+        for a, b, c, d in itertools.product(range(3), repeat=4)
+    ]
+    groups += [
+        G(3, C.UNIPOTENT_LINE, ((1 + 3 * alpha, 1), (3 * gamma, 1)),
+          {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": gamma})
+        for alpha, gamma in itertools.product(range(3), repeat=2)
+    ]
+    groups += [
+        G(3, C.SPLIT_LINE, ((1 + 3 * alpha, 0), (0, 2)),
+          {"alpha": alpha, "beta": 0, "gamma": 0, "delta": 0, "c": None})
+        for alpha in range(3)
+    ]
+    groups.append(G(3, C.NO_FIXED_POINTS))
+    for ell in (5, 7):
+        groups += [
+            G(ell, C.FULL_TORSION, galois.mat_id()),
+            G(ell, C.UNIPOTENT_LINE, ((1, 1), (0, 1)),
+              {"alpha": 0, "beta": 0, "gamma": 0, "delta": 0, "c": 0}),
+            G(ell, C.SPLIT_LINE, ((1, 0), (0, 2)),
+              {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}),
+            G(ell, C.NO_FIXED_POINTS),
+        ]
+    return groups
+
+
+def test_engine_equals_oracle_on_every_group_build_gbar_can_return():
+    """Engine = oracle on the groups themselves, including those no fixture
+    or small field reaches: every triple of a group with at most 729, else
+    every same-character triple and 100 triples seeded from the group."""
+    t0 = time.monotonic()
+    groups = _every_group()
+    assert len(groups) == 102
+    checked = mismatches = 0
+    for g in groups:
+        chars = g.characters()
+        if len(chars) ** 3 <= 729:
+            triples = list(itertools.product(chars, repeat=3))
+        else:
+            rng = random.Random(f"{g.ell} {g.case.value} {g.action}")
+            triples = [(chi, chi, chi) for chi in chars]
+            triples += [tuple(rng.choice(chars) for _ in range(3)) for _ in range(100)]
+        checked += len(triples)
+        mismatches += _agreement_sweep(g, triples)
+    assert mismatches == 0
+    _report("3-5", f"{len(groups)} groups, {checked} triples vs oracle, 0 mismatches "
+                   f"({time.monotonic()-t0:.1f}s)")

@@ -588,6 +588,19 @@ def test_search_case_mismatch_is_an_error_not_an_assert(capsys, monkeypatch):
     assert data["error"]["message"].startswith("CaseMismatch:")
 
 
+@pytest.mark.parametrize("p,a,b,rank", [(7, 0, 2, 1), (7, 0, 1, 2), (5, 1, 0, 1)])
+def test_analyze_rank_that_disagrees_with_the_frobenius_matrix_exits_4(capsys, monkeypatch, p, a, b, rank):
+    """At l = 3 the group is built from the case the rank gives and the E[9]
+    Frobenius matrix; a full-torsion, a unipotent and a no-fixed-points curve
+    given a wrong rank are an internal error, not a group."""
+    monkeypatch.setattr(ec, "rational_torsion_rank", lambda curve, ell: rank)
+    code, data = run_json(
+        capsys, "analyze", "--p", str(p), "--a", str(a), "--b", str(b), "--ell", "3"
+    )
+    assert code == 4
+    assert data["error"]["message"].startswith("CaseMismatch:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

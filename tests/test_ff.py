@@ -725,6 +725,23 @@ def test_poly_divmod_and_gcd_trim_zero_top_coefficients(p, k):
     assert ff.poly_gcd(F, [one, zero], [one, one, one]) == [one]
 
 
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2)])
+def test_poly_divmod_and_powmod_trim_the_divisor(p, k):
+    """A divisor or modulus with zero top coefficients divides as its trimmed
+    self on both paths, and a zero one raises ZeroDivisionError."""
+    F = ff.make_field(p, k)
+    zero, one = F.zero_raw, F.one_raw
+    minus_one = F.rsub(zero, one)
+    # X^2 + X + 1 = X (X + 1) + 1
+    assert ff.poly_divmod(F, [one, one, one], [one, one, zero]) == ([zero, one], [one])
+    assert ff.poly_powmod(F, [zero, one], 5, [one, one, zero]) == [minus_one]  # X^5 mod X + 1
+    for divisor in ([], [zero], [zero, zero]):
+        with pytest.raises(ZeroDivisionError):
+            ff.poly_divmod(F, [one, one, one], divisor)
+        with pytest.raises(ZeroDivisionError):
+            ff.poly_powmod(F, [zero, one], 5, divisor)
+
 def test_poly_kernel_properties():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

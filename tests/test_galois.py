@@ -134,29 +134,35 @@ def test_class_key_is_a_complete_isomorphism_invariant(p):
     assert len(by_key) == 2 * p + {1: 6, 5: 2, 7: 4, 11: 0}[p % 12]
 
 
-def _normalized_at_prime_level(basis, A, case, q):
-    """(action, constants) of a fixed-line group at l = 5, 7 by build_gbar's
-    l = 3 normalization carried out at level l on the E[l] basis and its
-    Frobenius matrix A: A itself for full torsion, else A in the basis
-    (mprime, m) of a unipotent line, m the first moved point, or in the first
-    eigenvectors for 1 and q of a split one. The reference for the groups
-    build_gbar reads off the case."""
-    ell = basis.n
+def _normalized_by_search(basis, A, case, q, ell):
+    """(action, constants) of a fixed-line group at the prime l by the
+    normalization build_gbar once searched for at l = 3, carried out at the
+    basis's level n (9 for l = 3, else l) on the E[n] basis and its Frobenius
+    matrix A: A itself for full torsion, else A in the basis (mprime, m) of a
+    unipotent line, m the first point moved mod l, or in the first
+    eigenvectors mod l for 1 and q of a split one. The reference for the
+    groups build_gbar reads off the case at l = 5, 7 and off Cayley-Hamilton
+    and kernel vectors at l = 3."""
+    n = basis.n
     if case is GaloisCase.FULL_TORSION:
         return A, None
     if case is GaloisCase.UNIPOTENT_LINE:
-        m = next(v for _, v in sorted(basis.table.items()) if mat_apply(A, v, ell) != v)
-        mp = mat_apply(galois.mat_sub(A, mat_id(), ell), m, ell)
-        An = galois.mat_conj(A, ((mp[0], m[0]), (mp[1], m[1])), ell)
-        alpha, gamma = (An[0][0] - 1) % ell // ell, An[1][0] % ell // ell
-        return An, {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": 0}
+        m = next(v for _, v in sorted(basis.table.items())
+                 if mat_apply(A, v, ell) != (v[0] % ell, v[1] % ell))
+        mp = mat_apply(galois.mat_sub(A, mat_id(), n), m, n)
+        An = galois.mat_conj(A, ((mp[0], m[0]), (mp[1], m[1])), n)
+        alpha, gamma = (An[0][0] - 1) % n // ell, An[1][0] % n // ell
+        return An, {"alpha": alpha, "beta": 0, "gamma": gamma, "delta": 0, "c": gamma}
     v1, v2 = (
         next(v for v in itertools.product(range(ell), repeat=2)
              if v != (0, 0) and mat_apply(A, v, ell) == (lam * v[0] % ell, lam * v[1] % ell))
         for lam in (1, q % ell)
     )
-    An = galois.mat_conj(A, ((v1[0], v2[0]), (v1[1], v2[1])), ell)
-    return An, {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
+    An = galois.mat_conj(A, ((v1[0], v2[0]), (v1[1], v2[1])), n)
+    if n == ell:
+        return An, {"alpha": 0, "beta": None, "gamma": None, "delta": None, "c": None}
+    return An, {"alpha": (An[0][0] - 1) // ell, "beta": An[0][1] // ell, "gamma": An[1][0] // ell,
+                "delta": (An[1][1] - 2) // ell, "c": None}
 
 
 def test_case_from_rank_matches_classify_case_on_small_fields():
@@ -182,7 +188,7 @@ def test_case_from_rank_matches_classify_case_on_small_fields():
                 reached[ell].add(case)
                 if rank and ell > 3:
                     g = build_gbar(curve, ell)
-                    assert (g.action, g.constants) == _normalized_at_prime_level(basis, A, case, p)
+                    assert (g.action, g.constants) == _normalized_by_search(basis, A, case, p, ell)
     assert reached[3] == reached[5] == set(GaloisCase)
     assert reached[7] == {GaloisCase.SPLIT_LINE, GaloisCase.UNIPOTENT_LINE}
 
@@ -192,7 +198,9 @@ def test_ell3_normalized_action_matches_the_point_count():
     matrix, so its det is q and its trace t = q + 1 - #E(F_q) mod 9 (Silverman,
     AEC V.2.3.1). Then the unipotent action ((1 + 3 alpha, 1), (3 gamma, 1)) is
     ((t - 1, 1), (t - 1 - q, 1)), and the split diagonal holds the roots of
-    X^2 - tX + q, 1 then 2 mod 3. count_points shares no code with build_gbar."""
+    X^2 - tX + q, 1 then 2 mod 3. count_points shares no code with build_gbar.
+    The action and constants also equal the search-based normalization of the
+    E[9] basis (_normalized_by_search)."""
     reached = Counter()
     for p in (5, 7, 11, 13):
         F = ff.make_field(p, 1)
@@ -210,6 +218,9 @@ def test_ell3_normalized_action_matches_the_point_count():
             elif g.case is GaloisCase.SPLIT_LINE:
                 assert (m00 % 3, m11 % 3) == (1, 2), (p, a, b)
                 assert all((x * x - t * x + p) % 9 == 0 for x in (m00, m11)), (p, a, b)
+            basis = ec.torsion_basis(curve, 9)
+            reference = _normalized_by_search(basis, ec.frobenius_matrix(basis), g.case, p, 3)
+            assert (g.action, g.constants) == reference, (p, a, b)
     assert reached == {
         GaloisCase.SPLIT_LINE: 14, GaloisCase.UNIPOTENT_LINE: 16, GaloisCase.FULL_TORSION: 3,
     }

@@ -9,7 +9,10 @@ read off its class by a change of basis, and the four full l = 7 tables
 before ``--triples all`` began to decide cups per pair and stream its rows,
 and the last four l = 5 and l = 7 analyses (two split lines and a unipotent
 one over GF(p^2), and full torsion) before those groups were read off the
-Galois case instead of a torsion basis. So a refactor that changes any
+Galois case instead of a torsion basis, and the last three l = 3 analyses
+(a split line with beta = delta = 1, a split line over GF(5^3) and a
+unipotent line over GF(13^2)) before the l = 3 normalization was read off
+Cayley-Hamilton and kernel vectors. So a refactor that changes any
 output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -63,6 +66,9 @@ GOLDEN = (
     ("analyze --p 5 --k0 2 --a 2 --b 1 --ell 7 --triples same-char", 0, "f60421d9183b3138628fc79bd06ec3844e42a48620966d6c5e6d7d0faefe64bc"),
     ("analyze --p 11 --k0 2 --a 1 --b 1 --ell 5 --triples same-char", 0, "7cc20e64c6ade4100b1d1fbeca99c7a89921446a96aa15f24c73141306040632"),
     ("analyze --p 31 --a 0 --b 11 --ell 5 --triples same-char", 0, "16fed898e792a55dd25bed67cbd0667f87c5a33136d03f3c1fad6712455e1cd6"),
+    ("analyze --p 5 --a 1 --b 1 --ell 3 --triples all", 0, "e42eae06145da81ed33515f077e0bc9d9fcceeedce0d9379b763ab19c56e2436"),
+    ("analyze --p 5 --k0 3 --a 0 --b 1 --ell 3 --triples same-char", 0, "b022d7e65b4aef1a088a760d1cab1ba293917eea3b991edc6b55bae3cbff166b"),
+    ("analyze --p 13 --k0 2 --a 0,1 --b 1 --ell 3 --triples same-char", 0, "880bc7840e29ca501ee504e897b71f01981abcdd25f582fa718bd4db963a1b54"),
 )
 
 
