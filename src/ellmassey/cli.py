@@ -16,8 +16,11 @@ Subcommands and exit codes:
 
 A triple list (``sample N``, or ``analyze --triples all``) is capped at
 TRIPLE_CAP = 5**9 triples, the l = 5 full-torsion table; a larger one is an
-input error. ``analyze`` writes its rows as it goes, after every verdict is
-decided, so meta.elapsed_ms covers the verdicts but not the writing. A
+input error. ``analyze`` decides every verdict first, held as
+``(kinds, codes)``: the distinct verdicts and one code byte per triple
+(``massey.verdict_table`` for ``--triples all``). It then writes its rows as
+it goes, about ROWS_PER_WRITE at a time, so meta.elapsed_ms covers the
+verdicts but not the writing. A
 galois-check file nested too deeply to decode is invalid data.
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
@@ -52,7 +55,7 @@ EXIT_INTERNAL = 4
 NO_FIXED_POINTS_REPORT_DEGREE_CAP = 24
 EXHAUSTIVE_TRIPLE_CAP = 27**3  # the l = 3 full-torsion grid
 TRIPLE_CAP = 5**9  # the l = 5 full-torsion table, 125^3 triples
-ROWS_PER_WRITE = 4096
+ROWS_PER_WRITE = 1024  # measured: larger blocks raise peak RSS, smaller ones save no time
 
 
 def _emit(obj):
@@ -232,15 +235,19 @@ def _check_table_cap(chars, cap, what, flag):
         )
 
 
-def _select_triples(chars, mode, count, seed):
-    """The triples of a parsed mode over the sequence ``chars`` (characters
-    or their indices: both draw the same samples), and the label for meta.mode."""
+def _select_triples(n, mode, count, seed):
+    """The triples of a parsed mode over n characters, as one flat array of
+    character indices (three per triple), and the label for meta.mode.
+    ``sample N`` draws its 3N indices one ``rng.choice`` at a time."""
+    from array import array
+
+    typecode = "B" if n <= 256 else "H"
     if mode == "same-char":
-        return [(chi, chi, chi) for chi in chars], mode
+        return array(typecode, (i for i in range(n) for _ in range(3))), mode
     if mode == "sample":
         rng = random.Random(seed)
-        return [tuple(rng.choice(chars) for _ in range(3)) for _ in range(count)], f"sample {count}"
-    return list(itertools.product(chars, repeat=3)), mode  # exhaustive
+        return array(typecode, map(rng.choice, itertools.repeat(range(n), 3 * count))), f"sample {count}"
+    return array(typecode, itertools.chain.from_iterable(itertools.product(range(n), repeat=3))), mode
 
 
 def _report_matrices(curve, group):
@@ -289,15 +296,15 @@ def cmd_analyze(args) -> int:
     curve = _build_curve(args)
     group = galois.build_gbar(curve, args.ell)
     chars = group.characters()
-    # triples of character indices, so that each character's text is built once;
-    # the verdicts are references to shared objects, decided before any row is written
+    # every verdict is decided, one byte per triple, before any row is written;
+    # triples are character indices, so that each character's text is built once
     if mode == "all":
         _check_table_cap(chars, TRIPLE_CAP, "--triples all", "--triples")
-        triples = itertools.product(range(len(chars)), repeat=3)
-        verdicts = list(massey.verdict_table(chars, group))
+        triples = None
+        kinds, codes = massey.verdict_table(chars, group)
     else:
-        triples, mode = _select_triples(range(len(chars)), mode, count, args.seed)
-        verdicts = [massey.triple_verdict(chars[i], chars[j], chars[k], group) for i, j, k in triples]
+        triples, mode = _select_triples(len(chars), mode, count, args.seed)
+        kinds, codes = massey.coded_verdicts(chars, triples, group)
     mat_l, mat_lp = _report_matrices(curve, group)
     payload = {
         "curve": {
@@ -320,14 +327,16 @@ def cmd_analyze(args) -> int:
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }
-    _write_table(payload, chars, triples, verdicts, args.format)
+    _write_table(payload, chars, triples, kinds, codes, args.format)
     return EXIT_OK
 
 
-def _write_table(payload, chars, triples, verdicts, fmt):
-    """Write the report with one row per index triple and its verdict, in
-    chunks, byte for byte as one ``json.dumps(..., sort_keys=True)`` of the
-    payload with the rows in place would write it.
+def _write_table(payload, chars, triples, kinds, codes, fmt):
+    """Write the report with one row per triple and its verdict code, about
+    ROWS_PER_WRITE rows at a time, byte for byte as one
+    ``json.dumps(..., sort_keys=True)`` of the payload with the rows in place
+    would write it. ``triples`` is the flat index array of the rows, or None
+    for the whole table in product order, written in whole (chi1, chi2) blocks.
 
     A JSON row is {"chi1", "chi2", "chi3", "reason", "status", "witness"} and
     a CSV row chi1,chi2,chi3,status,reason; either is the texts of its three
@@ -353,21 +362,30 @@ def _write_table(payload, chars, triples, verdicts, fmt):
         def encode(v):
             return json.dumps(v.to_json(), sort_keys=True)[1:]
 
-    # id(verdict) -> its text; ``verdicts`` holds every verdict for the whole
-    # write, so no id is reused
-    texts = {}
+    texts = [encode(v) for v in kinds]
+    # ends[k][c]: the text of chi3 = chars[k] followed by that of verdict c
+    ends = [[x + t for t in texts] for x in third]
+    n = len(chars)
+    if triples is None:
+        pairs = max(1, ROWS_PER_WRITE // n)
 
-    def text(v):
-        texts[id(v)] = t = encode(v)
-        return t
-
-    rows = zip(triples, verdicts)
+        def chunks():
+            for start in range(0, n * n, pairs):
+                chunk = []
+                for p in range(start, min(start + pairs, n * n)):
+                    prefix = first[p // n] + second[p % n]
+                    chunk += [prefix + end[c] for end, c in zip(ends, codes[p * n:p * n + n])]
+                yield chunk
+    else:
+        def chunks():
+            it = iter(triples)
+            for start in range(0, len(codes), ROWS_PER_WRITE):
+                block = codes[start:start + ROWS_PER_WRITE]
+                # the codes come first, so zip stops before taking a triple past the block
+                yield [first[i] + second[j] + ends[k][c] for c, (i, j, k) in zip(block, zip(it, it, it))]
     out = sys.stdout  # read at call time, so redirect_stdout captures the rows
     out.write(head)
-    while chunk := [
-        first[i] + second[j] + third[k] + (texts.get(id(v)) or text(v))
-        for (i, j, k), v in itertools.islice(rows, ROWS_PER_WRITE)
-    ]:
+    for chunk in chunks():
         out.write(lead + sep.join(chunk))
         lead = sep
     out.write(tail)
@@ -385,7 +403,9 @@ def cmd_verify(args) -> int:
     chars = group.characters()
     if mode == "exhaustive":
         _check_table_cap(chars, EXHAUSTIVE_TRIPLE_CAP, "exhaustive verification", "--mode")
-    triples, mode = _select_triples(chars, mode, count, args.seed)
+    indices, mode = _select_triples(len(chars), mode, count, args.seed)
+    it = iter(indices)
+    triples = [(chars[i], chars[j], chars[k]) for i, j, k in zip(it, it, it)]
     mismatches = []
     for c1, c2, c3 in triples:
         v = massey.triple_verdict(c1, c2, c3, group)

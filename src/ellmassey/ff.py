@@ -469,6 +469,7 @@ def make_field(p: int, k: int) -> ExtField:
     the first irreducible wins, so the modulus is stable across runs.
     The binomials X^k + c come first and are decided by the binomial theorem,
     the rest by Ben-Or's test; both are exact, so the same candidate wins.
+    When that theorem rules out every binomial at once, none is tested.
     For k = 1 the modulus is X itself. p must lie below
     PRIME_CERTIFIED_BOUND, where ``is_prime`` is a proof. The cache is
     unbounded and nothing else constructs an ExtField, so each (p, k) has one
@@ -486,9 +487,12 @@ def make_field(p: int, k: int) -> ExtField:
         raise DegreeTooLarge("fields larger than 2^380 elements are unsupported")
     if k == 1:
         return ExtField(p, 1, (0, 1))
-    for c in range(p):
-        if _binomial_irreducible(c, k, p):
-            return ExtField(p, k, (c,) + (0,) * (k - 1) + (1,))
+    # by the theorem _binomial_irreducible cites, no X^k + c is irreducible
+    # unless every prime r | k divides p - 1, and p = 1 (mod 4) if 4 | k
+    if (k % 4 or p % 4 == 1) and all((p - 1) % r == 0 for r in _prime_divisors(k)):
+        for c in range(p):
+            if _binomial_irreducible(c, k, p):
+                return ExtField(p, k, (c,) + (0,) * (k - 1) + (1,))
     for m in range(p, p**k):
         candidate = [m // p**i % p for i in range(k)] + [1]
         if _ip_ben_or(candidate, p):

@@ -39,7 +39,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import cache
 
-from .errors import WrongPrime
+from .errors import InternalError, WrongPrime
 from .galois import (
     AbstractGaloisData,
     Character,
@@ -107,23 +107,92 @@ def triple_verdict(chi1: Character, chi2: Character, chi3: Character, g: GbarGro
 
 
 def verdict_table(chars, g: GbarGroup):
-    """``triple_verdict`` of every triple over ``chars``, in
+    """``triple_verdict`` of every triple over ``chars`` as ``(kinds, codes)``:
+    ``kinds`` lists the distinct verdict objects, and ``codes`` is a bytearray
+    of n^3 indices into it, one per triple in
     ``itertools.product(chars, repeat=3)`` order.
 
     Each cup is a fact of its pair, so it is decided once per ordered pair
-    (n^2 decisions for n characters, not up to 2n^3), and a pair whose cup
-    is nonzero as (chi1, chi2) yields its n verdicts at once.
+    (n^2 decisions for n characters, not up to 2n^3), and each ordered pair
+    (chi1, chi2) yields its row of n codes at once: all cup12-nonzero, or
+    the verdicts over chi3. Outside the unipotent case that row depends only
+    on chi2 and on whether chi1 is zero, so it is built once per such key;
+    in the unipotent case it is read off the l x l table of condition
+    residues.
     """
     check_group(g, *chars)
     data = [[_pair_datum(a, b, g) for b in chars] for a in chars]
     n = len(chars)
+    kinds = _Kinds()
+    cup12_row = bytes((kinds.code(_CUP12_NONZERO),)) * n
+    cup23 = kinds.code(_CUP23_NONZERO)
+    codes = bytearray()
+    if g.case is GaloisCase.UNIPOTENT_LINE:
+        ell, c = g.ell, g.constants["c"]
+        outcome = [kinds.code(_unipotent_outcome(res1, res2, c))
+                   for res1 in range(ell) for res2 in range(ell)]
+        xs = [chi.values[1] for chi in chars]
+        fs = [chi.values[2] for chi in chars]
+        for x1, f1, row1 in zip(xs, fs, data):
+            for x2, r, row2 in zip(xs, row1, data):
+                if r is None:
+                    codes += cup12_row
+                    continue
+                cx = c * x1 * x2
+                # res1 = t x1 - r x3 and res2 = t f1 - r f3 - c x1 x2 x3 mod l
+                codes += bytes(
+                    cup23 if t is None
+                    else outcome[(t * x1 - r * x3) % ell * ell + (t * f1 - r * f3 - cx * x3) % ell]
+                    for t, x3, f3 in zip(row2, xs, fs)
+                )
+        return kinds, codes
+    rows = {}
     for chi1, row1 in zip(chars, data):
-        for chi2, r, row2 in zip(chars, row1, data):
+        zero1 = chi1.is_zero()
+        for j, (chi2, r) in enumerate(zip(chars, row1)):
             if r is None:
-                yield from itertools.repeat(_CUP12_NONZERO, n)
+                codes += cup12_row
                 continue
-            for chi3, t in zip(chars, row2):
-                yield _CUP23_NONZERO if t is None else _defined_verdict(chi1, chi2, chi3, r, t, g)
+            row = rows.get((j, zero1))
+            if row is None:
+                row = rows[j, zero1] = bytes(
+                    cup23 if t is None else kinds.code(_defined_verdict(chi1, chi2, chi3, r, t, g))
+                    for chi3, t in zip(chars, data[j])
+                )
+            codes += row
+    return kinds, codes
+
+
+def coded_verdicts(chars, indices, g: GbarGroup):
+    """``triple_verdict`` of the triples of character indices in the flat
+    sequence ``indices`` (three per triple), as ``(kinds, codes)`` like
+    ``verdict_table``."""
+    kinds = _Kinds()
+    it = iter(indices)
+    codes = bytearray(
+        kinds.code(triple_verdict(chars[i], chars[j], chars[k], g)) for i, j, k in zip(it, it, it)
+    )
+    return kinds, codes
+
+
+class _Kinds(list):
+    """The distinct verdicts of a table, each coded by its index, which fits
+    one byte. Every verdict is a shared object (a constant or a cached
+    outcome), so they are told apart by identity; the list keeps each one
+    alive, so no id is reused while the table is built."""
+
+    def __init__(self):
+        super().__init__()
+        self._index = {}
+
+    def code(self, v: MasseyVerdict) -> int:
+        c = self._index.get(id(v))
+        if c is None:
+            if len(self) == 256:
+                raise InternalError("a verdict table has more than 256 distinct verdicts")
+            c = self._index[id(v)] = len(self)
+            self.append(v)
+        return c
 
 
 def _pair_datum(chi_a: Character, chi_b: Character, g: GbarGroup):
@@ -190,13 +259,19 @@ def _full_torsion_verdict(chi1, chi2, chi3, g: GbarGroup) -> MasseyVerdict:
         return _BASE_FIELD
     moved = _moved_kernel_vector(g, xt)
     if moved is not None:
-        a, image = moved
-        return MasseyVerdict(
-            VerdictStatus.NON_VANISHING,
-            "kernel-vector-moved-off-line",
-            {"torsion_vector": list(a), "frobenius_image": list(image)},
-        )
+        return _moved_off_line(*moved)
     return _LINES_PRESERVED
+
+
+@cache
+def _moved_off_line(a, image) -> MasseyVerdict:
+    """The verdict for a kernel vector moved off its line; built once per
+    key, as ``_unipotent_outcome`` is."""
+    return MasseyVerdict(
+        VerdictStatus.NON_VANISHING,
+        "kernel-vector-moved-off-line",
+        {"torsion_vector": list(a), "frobenius_image": list(image)},
+    )
 
 
 def _moved_kernel_vector(g: GbarGroup, torsion_values):

@@ -395,3 +395,29 @@ def test_engine_equals_oracle_on_every_group_build_gbar_can_return():
     assert mismatches == 0
     _report("3-5", f"{len(groups)} groups, {checked} triples vs oracle, 0 mismatches "
                    f"({time.monotonic()-t0:.1f}s)")
+
+
+def test_verdict_table_equals_triple_verdict_on_every_group_build_gbar_can_return():
+    """The coded table of every group is triple_verdict on every triple of a
+    group with at most 729, else on the triples the oracle sweep above
+    checks, and it has at most 256 kinds, so each code fits one byte."""
+    groups = _every_group()
+    assert len(groups) == 102
+    checked = 0
+    for g in groups:
+        chars = g.characters()
+        n = len(chars)
+        kinds, codes = massey.verdict_table(chars, g)
+        assert len(codes) == n**3
+        assert len(kinds) <= 256
+        if n**3 <= 729:
+            triples = list(itertools.product(range(n), repeat=3))
+        else:
+            rng = random.Random(f"{g.ell} {g.case.value} {g.action}")
+            triples = [(i, i, i) for i in range(n)]
+            triples += [tuple(rng.choice(range(n)) for _ in range(3)) for _ in range(100)]
+        for i, j, k in triples:
+            v = kinds[codes[(i * n + j) * n + k]]
+            assert v == massey.triple_verdict(chars[i], chars[j], chars[k], g), (g, i, j, k)
+        checked += len(triples)
+    _report("3-5", f"{len(groups)} coded tables, {checked} triples vs triple_verdict")

@@ -1,11 +1,13 @@
 """CLI behavior: flags, exit codes, output schema, determinism."""
 
+import contextlib
 import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,65 @@ def test_closed_stdout_exits_2_without_traceback(fmt):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert stderr == ""  # no traceback, and no "Exception ignored" at exit
+
+
+class _NullSink:
+    """A stdout that keeps nothing, so only the program's own buffers count."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv,bound_mb",
+    [
+        # 117,649 rows, and the 5^9-row l = 5 full-torsion table
+        ("analyze --p 23 --a 1 --b 1 --ell 7 --triples all --format json", 1.5),
+        ("analyze --p 31 --a 0 --b 11 --ell 5 --triples all --format csv", 6),
+    ],
+    ids=["l7-split-json", "l5-full-torsion-csv"],
+)
+def test_analyze_table_holds_one_byte_per_triple(argv, bound_mb):
+    """A table's traced peak is its codes, one byte per triple, and one block
+    of rows, not a reference per verdict. The first run builds the fields,
+    so the traced second run measures the group and the table."""
+    with contextlib.redirect_stdout(_NullSink()):
+        assert cli.main(argv.split()) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv.split()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound_mb * 2**20, peak
+
+
+@pytest.mark.parametrize("triples", [["all"], ["sample", "5000"], ["same-char"]])
+def test_analyze_decides_every_verdict_before_the_first_row(monkeypatch, triples):
+    """meta.elapsed_ms covers the verdicts: they are all decided before any
+    text of the report is written."""
+    from ellmassey import massey
+
+    decided = []
+    for name in ("verdict_table", "coded_verdicts"):
+        def done(*args, _decide=getattr(massey, name)):
+            out = _decide(*args)
+            decided.append(len(out[1]))
+            return out
+        monkeypatch.setattr(massey, name, done)
+
+    class Sink(_NullSink):
+        def write(self, text):
+            assert decided, "a row was written before the verdicts were decided"
+            return len(text)
+
+    argv = ["analyze", "--p", "13", "--a", "0", "--b", "3", "--ell", "3", "--triples", *triples]
+    with contextlib.redirect_stdout(Sink()):
+        assert cli.main(argv) == 0
+    assert decided == [{"all": 27**3, "sample": 5000, "same-char": 27}[triples[0]]]
 
 
 def test_analyze_unipotent_ell5_contains_non_vanishing_row(capsys):

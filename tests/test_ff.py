@@ -152,6 +152,40 @@ def test_ben_or_matches_rabin_on_every_monic(p, k):
         assert ff._ip_ben_or(f, p) == rabin_irreducible(f, p), f
 
 
+def full_scan_modulus(p, k):
+    """make_field's scan without the binomial guard: every X^k + c, then Ben-Or."""
+    for c in range(p):
+        if ff._binomial_irreducible(c, k, p):
+            return (c,) + (0,) * (k - 1) + (1,)
+    for m in range(p, p**k):
+        candidate = [m // p**i % p for i in range(k)] + [1]
+        if ff._ip_ben_or(candidate, p):
+            return tuple(candidate)
+
+
+# no binomial of degree k is irreducible: p = 2 (mod 3) at k = 3, 6, and
+# p = 3 (mod 4) at k = 4, 8
+NO_BINOMIAL_CASES = [(p, 3) for p in (2, 5, 11, 17, 23, 29, 41, 47)] + [
+    (p, 4) for p in (3, 7, 11, 19, 23, 31, 43)
+] + [(5, 6), (11, 6), (3, 8), (7, 8)]
+
+
+@pytest.mark.parametrize("p,k", NO_BINOMIAL_CASES)
+def test_make_field_skips_the_binomials_when_none_is_irreducible(p, k):
+    assert ff.make_field(p, k).modulus == full_scan_modulus(p, k)
+
+
+def test_make_field_tests_no_binomial_when_none_can_be_irreducible(monkeypatch):
+    # 10000019 = 2 (mod 3) and 3 (mod 4): a scan of the binomials would test
+    # 10^7 candidates per field before the first Ben-Or candidate
+    calls = []
+    decide = ff._binomial_irreducible
+    monkeypatch.setattr(ff, "_binomial_irreducible", lambda c, k, p: calls.append(c) or decide(c, k, p))
+    for k in (3, 4):
+        assert ff.make_field(10000019, k).modulus[-1] == 1
+    assert calls == []
+
+
 def test_make_field_binomial_block_ruled_out_at_once():
     # p = 3 (mod 4) and 4 | k: no X^4 + c is irreducible, a scan of 10^6
     # binomials that Rabin's test would take minutes over

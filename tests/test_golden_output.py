@@ -12,8 +12,11 @@ one over GF(p^2), and full torsion) before those groups were read off the
 Galois case instead of a torsion basis, and the last three l = 3 analyses
 (a split line with beta = delta = 1, a split line over GF(5^3) and a
 unipotent line over GF(13^2)) before the l = 3 normalization was read off
-Cayley-Hamilton and kernel vectors. So a refactor that changes any
-output byte fails here. To print the table for the current code, run
+Cayley-Hamilton and kernel vectors, and the last four (l = 3 full torsion
+with moved-vector witnesses, the l = 5 unipotent table, the 5^9-row l = 5
+full-torsion table and a 20,000-triple sample of it) before tables were
+held as one byte per triple and written in whole-pair blocks. So a
+refactor that changes any output byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -69,6 +72,10 @@ GOLDEN = (
     ("analyze --p 5 --a 1 --b 1 --ell 3 --triples all", 0, "e42eae06145da81ed33515f077e0bc9d9fcceeedce0d9379b763ab19c56e2436"),
     ("analyze --p 5 --k0 3 --a 0 --b 1 --ell 3 --triples same-char", 0, "b022d7e65b4aef1a088a760d1cab1ba293917eea3b991edc6b55bae3cbff166b"),
     ("analyze --p 13 --k0 2 --a 0,1 --b 1 --ell 3 --triples same-char", 0, "880bc7840e29ca501ee504e897b71f01981abcdd25f582fa718bd4db963a1b54"),
+    ("analyze --p 13 --a 0 --b 3 --ell 3 --triples all", 0, "bece7d525ba557074a1eb7ce382074a8ecea00b4d3619536b33ab88c94c93d7d"),
+    ("analyze --p 11 --a 1 --b 7 --ell 5 --triples all", 0, "765661332543417d70478e5bd2e891cf691cc68d16a8e5111d70e08ae5304018"),
+    ("analyze --p 31 --a 0 --b 11 --ell 5 --triples all --format csv", 0, "7fd4f559ecd775c6255504bf36848948a279219743af541e806da79906d30d4b"),
+    ("analyze --p 31 --a 0 --b 11 --ell 5 --triples sample 20000 --format csv", 0, "cad96ec8bfdbc8f248115b944c2166fd0f969999690b915a53704bcec9a603bf"),
 )
 
 

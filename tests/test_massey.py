@@ -8,7 +8,7 @@ import pytest
 
 import fixtures
 from ellmassey import galois, massey, oracle
-from ellmassey.errors import GroupMismatch, WrongPrime
+from ellmassey.errors import GroupMismatch, InternalError, WrongPrime
 from ellmassey.galois import load_abstract
 from ellmassey.massey import (
     VerdictStatus,
@@ -336,7 +336,7 @@ def test_group_mismatch():
     with pytest.raises(GroupMismatch):
         cup_vanishes(g1.characters()[1], g2.characters()[1], g1)
     with pytest.raises(GroupMismatch):
-        next(verdict_table([g1.characters()[1], g2.characters()[1]], g1))
+        verdict_table([g1.characters()[1], g2.characters()[1]], g1)
 
 
 TABLE_GROUPS = [
@@ -354,7 +354,7 @@ TABLE_GROUPS = [
 
 @pytest.mark.parametrize("ell,case", TABLE_GROUPS, ids=[f"l{e}-{c}" for e, c in TABLE_GROUPS])
 def test_verdict_table_is_the_per_triple_dispatch(ell, case, monkeypatch):
-    """The table yields triple_verdict of every triple in product order, and
+    """The table codes triple_verdict of every triple in product order, and
     decides each cup once per ordered pair: n^2 decisions, not up to 2n^3."""
     g = fixtures.group(ell, case)
     chars = g.characters()
@@ -367,12 +367,28 @@ def test_verdict_table_is_the_per_triple_dispatch(ell, case, monkeypatch):
         return cup(chi1, chi2, case)
 
     monkeypatch.setattr(massey, "_cup_vanishes", counted)
-    table = list(verdict_table(chars, g))
+    kinds, codes = verdict_table(chars, g)
     assert calls[0] <= n * n
+    table = [kinds[c] for c in codes]
     monkeypatch.setattr(massey, "_cup_vanishes", cup)
     assert len(table) == n**3
     for (c1, c2, c3), v in zip(itertools.product(chars, repeat=3), table):
         assert v == triple_verdict(c1, c2, c3, g), (c1, c2, c3)
+
+
+def test_more_than_256_verdict_kinds_is_an_internal_error(monkeypatch):
+    """A code is one byte, so a 257th distinct verdict raises, not wraps."""
+    g = fixtures.group(3, "full_torsion")
+    chars = g.characters()
+    fresh = itertools.count()
+    monkeypatch.setattr(
+        massey, "triple_verdict",
+        lambda *args: massey.MasseyVerdict(VerdictStatus.EMPTY, f"kind-{next(fresh)}"),
+    )
+    kinds, codes = massey.coded_verdicts(chars, [0] * 3 * 256, g)
+    assert len(kinds) == 256 and list(codes) == list(range(256))
+    with pytest.raises(InternalError):
+        massey.coded_verdicts(chars, [0] * 3 * 257, g)
 
 
 # ---------------------------------------------------------------------------
