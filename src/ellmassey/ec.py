@@ -38,7 +38,7 @@ class Curve:
     """y^2 = x^3 + ax + b over the field ``base``, where its points live;
     ``over`` gives the base change to an extension."""
 
-    __slots__ = ("base", "a", "b", "disc", "j")
+    __slots__ = ("base", "a", "b", "disc")
 
     def __init__(self, base: ExtField, a: FieldElement, b: FieldElement):
         if base.p in (2, 3):
@@ -52,7 +52,11 @@ class Curve:
         self.a = a
         self.b = b
         self.disc = disc
-        self.j = (a * a * a * 4 * 1728) / disc
+
+    @property
+    def j(self) -> FieldElement:
+        """The j-invariant 1728 * 4a^3 / disc, computed when read."""
+        return (self.a * self.a * self.a * 4 * 1728) / self.disc
 
     def over(self, field: ExtField) -> "Curve":
         """The base change of the curve to an extension of its base field."""
@@ -161,7 +165,7 @@ class TorsionBasis:
 # construction and group law
 
 def curve_new(base: ExtField, a, b) -> Curve:
-    """Validated curve y^2 = x^3 + ax + b; stores discriminant and j-invariant."""
+    """Validated curve y^2 = x^3 + ax + b; stores its discriminant."""
     return Curve(base, a, b)
 
 
@@ -256,8 +260,6 @@ def division_polynomial(curve: Curve, n: int) -> list[FieldElement]:
 def _division_raw(curve: Curve, n: int) -> list:
     F = curve.base
     a, b = curve.a.coeffs, curve.b.coeffs
-    cpoly = [b, a, F.zero_raw, F.one_raw]  # x^3 + ax + b
-    cpoly2 = ff.poly_mul(F, cpoly, cpoly)
 
     def const(v):
         return F.element(v).coeffs
@@ -276,7 +278,11 @@ def _division_raw(curve: Curve, n: int) -> list:
                 const(3),
             ],
         ),
-        4: ff.poly_scale(
+    }
+    if n >= 5:  # psi_3 needs neither psi_4 nor (x^3 + ax + b)^2
+        cpoly = [b, a, F.zero_raw, F.one_raw]  # x^3 + ax + b
+        cpoly2 = ff.poly_mul(F, cpoly, cpoly)
+        cache[4] = ff.poly_scale(
             F,
             [
                 F.rsub(F.rneg(F.rmul(F.rmul(b, b), const(8))), F.rmul(F.rmul(a, a), a)),
@@ -288,8 +294,7 @@ def _division_raw(curve: Curve, n: int) -> list:
                 F.one_raw,
             ],
             const(4),
-        ),
-    }
+        )
 
     def f(m: int) -> list:
         if m in cache:
@@ -329,36 +334,59 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     of psi_n over the base (all x-coordinates rational over the lcm of the
     degrees; one quadratic doubling if some y-coordinate needs it), so a
     field past ``ff.make_field``'s caps is refused before any equal-degree
-    split. Each irreducible factor of degree d, which divides k, contributes
-    the Frobenius orbit of one root x0 and one y0 with y0^2 = rhs(x0): the
-    points (x0^(q^i), +-y0^(q^i)), i < d, q the order of the base, with x0
-    back after exactly d steps. All n^2 - 1 nonzero points are materialized
-    and sorted. As E[n] = (Z/n)^2 for n a power of the prime l, T has order n
-    iff (n/l)T != O, and (P, Q) is a basis iff (n/l)Q lies off the line
-    <(n/l)P>. So P is the first point with (n/l)P != O and Q the first point
-    off that line. The basis carries its coordinate table {iP + jQ: (i, j)}.
+    split. The irreducible factors of psi_n, each of a degree d dividing k,
+    are then walked one at a time: one root x0, one y0 with y0^2 = rhs(x0),
+    and the orbit (x0^(q^i), +-y0^(q^i)), i < d, q the order of the base,
+    with x0 back after exactly d steps. As E[n] = (Z/n)^2 for n a power of
+    the prime l, T has order n iff (n/l)T != O, and two points span E[n]
+    iff (n/l) of the second lies off the line of (n/l) of the first; the
+    walk stops at the first such pair (P0, Q0), and ``_span_table`` gives
+    every point of E[n] by the group law. The basis (P, Q) is then the
+    ``canonical_basis`` of that table, and the basis carries its coordinate
+    table {iP + jQ: (i, j)}.
     """
     if n not in TORSION_LEVELS:
         raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
     if n % curve.base.p == 0:
         raise BadCharacteristic("torsion level must be coprime to the characteristic")
     k, stages = _torsion_field_degree(curve, n)
-    big = ff.make_field(curve.base.p, curve.base.k * k)
-    factors = ff.equal_degree_factors(curve.base, stages)
-    points = _all_torsion_points(curve.over(big), factors, ff.embed_field(curve.base, big))
-    if len(points) != n * n - 1:
-        raise InternalError(f"found {len(points)} nonzero {n}-torsion points, expected {n * n - 1}")
-    points.sort(key=CurvePoint.key)
-    ell = 3 if n == 9 else n  # every level is a prime or 9
-    h = n // ell
-    P = next(T for T in points if not scalar_mul(h, T).is_infinity)
-    hP = scalar_mul(h, P)
-    line = _multiple_keys(hP, ell)
-    Q = next(T for T in points if scalar_mul(h, T).key() not in line)
-    table = _span_table(P, Q, n)
+    points = _torsion_points(curve, ff.make_field(curve.base.p, curve.base.k * k), stages)
+    h = 3 if n == 9 else 1  # n / l: every level is a prime or 9
+    try:
+        P0 = next(T for T in points if not scalar_mul(h, T).is_infinity)
+        line = _multiple_keys(scalar_mul(h, P0), n // h)
+        Q0 = next(T for T in points if scalar_mul(h, T).key() not in line)
+    except StopIteration:
+        raise InternalError(f"the points over the roots of psi_{n} span less than E[{n}]") from None
+    table = _span_table(P0, Q0, n)
     if len(table) != n * n:
         raise InternalError(f"basis spans {len(table)} points of E[{n}], expected {n * n}")
+    kP, kQ, ((a, c), (b, d)) = canonical_basis(table.items(), n)
+    e = pow(a * d - b * c, -1, n)
+    table = {key: ((d * i - c * j) * e % n, (a * j - b * i) * e % n) for key, (i, j) in table.items()}
+    E, F = P0.ctx, P0.ctx.base
+    P, Q = (CurvePoint(E, FieldElement(F, key[1]), FieldElement(F, key[2])) for key in (kP, kQ))
     return TorsionBasis(n, P, Q, k, table)
+
+
+def canonical_basis(pairs, n: int):
+    """(key of P, key of Q, M): the canonical basis (P, Q) of E[n], n a power
+    of the prime l, read off the pairs (point key, (i, j)) of a coordinate
+    table on any basis (a collection, read twice), and M, whose columns are
+    the coordinates of P and Q.
+
+    P is the point of least key whose coordinates are nonzero mod l, and Q
+    the point of least key whose determinant with P is nonzero mod l. A
+    point T has (n/l)T = O exactly when its coordinates vanish mod l, and
+    (n/l)T lies on <(n/l)P> exactly when det(P, T) = 0 mod l, so P is the
+    least point of order n and Q the least point off that line. The table
+    on (P, Q) is M^-1 applied to the given one.
+    """
+    ell = 3 if n == 9 else n
+    # keys are distinct, so min compares keys only
+    kP, (a, b) = min(item for item in pairs if item[1][0] % ell or item[1][1] % ell)
+    kQ, (c, d) = min(item for item in pairs if (a * item[1][1] - b * item[1][0]) % ell)
+    return kP, kQ, ((a, c), (b, d))
 
 
 @lru_cache(maxsize=32)
@@ -366,49 +394,60 @@ def _torsion_field_degree(curve: Curve, n: int):
     """(k, stages): least k with E[n] rational over F_{q^k}, and the
     distinct-degree factorization of psi_n over the base.
 
+    Every factor left after the stage of degree d has a degree above d, so
+    the stages found so far bound k from below by their lcm, or by d + 1
+    if a factor is left. Once that bound puts F_{q^k} past
+    ``ff.make_field``'s caps, the factoring stops and the bound is returned
+    with those stages, and ``make_field`` refuses it. The bound is at most
+    twice the lcm of the stages returned (d + 1 <= 2d), so a caller that
+    judges a field by twice that lcm, as the no-fixed-points report does,
+    finds it past the same caps.
+
     A stage's product G_d has rhs^((q^d - 1)/2) = 1 mod G_d exactly when
     that holds mod each of its irreducible factors (CRT), so the stages
     decide the quadratic doubling as the factors would.
     """
     F = curve.base
-    stages = tuple(ff.distinct_degree_factors(F, _division_raw(curve, n)))
-    k1 = lcm(*(d for d, _ in stages))
-    need_double = False
+    psi = _division_raw(curve, n)
+    stages, k1, left = [], 1, len(psi) - 1
+    for d, g in ff.distinct_degree_factors(F, psi):
+        stages.append((d, g))
+        k1, left = lcm(k1, d), left - (len(g) - 1)
+        bound = max(k1, d + 1) if left else k1
+        if F.k * bound > ff.MAX_EXT_DEGREE or F.p ** (F.k * bound) > ff.MAX_FIELD_ORDER:
+            return bound, tuple(stages)
     a, b = curve.a.coeffs, curve.b.coeffs
     h = [b, a, F.zero_raw, F.one_raw]
     for d, g in stages:
         if (k1 // d) % 2 == 0:
             continue  # odd-degree value becomes a square after the even step anyway
-        s = ff.poly_powmod(F, h, (F.order**d - 1) // 2, g)
-        if s != [F.one_raw]:
-            need_double = True
-            break
-    return (2 * k1 if need_double else k1), stages
+        if ff.poly_powmod(F, h, (F.order**d - 1) // 2, g) != [F.one_raw]:
+            return 2 * k1, tuple(stages)
+    return k1, tuple(stages)
 
 
-def _all_torsion_points(E: Curve, factors, emb) -> list[CurvePoint]:
-    """The points over the x-roots of the factors, by Frobenius orbits."""
-    F = E.base
-    K, q = emb.dst.k // emb.src.k, emb.src.order
+def _torsion_points(curve: Curve, F: ExtField, stages):
+    """The points of E[n] - {O} over F, the torsion field, from the
+    distinct-degree stages of psi_n: one irreducible factor at a time, each
+    one's Frobenius orbit built when the points before it are used up."""
+    E, emb = curve.over(F), ff.embed_field(curve.base, F)
+    factors = ff.equal_degree_factors(curve.base, stages)
+    K, q = F.k // curve.base.k, curve.base.order
     # a factor that does not split over F would keep one_root searching forever
     if any(K % d for d, _ in factors):
         raise InternalError(f"factor degrees {[d for d, _ in factors]} do not all divide {K}")
-    out = []
     for d, g in factors:
         x0 = ff.one_root(F, [emb.raw(c) for c in g])
         y0 = ff.sqrt_in_field(E.rhs(FieldElement(F, x0)))
         if y0 is None or y0.is_zero():
             raise InternalError(f"torsion x-coordinate {x0!r} has no nonzero y in the torsion field")
-        x, y = x0, y0.coeffs
+        x, y, orbit = x0, y0.coeffs, []
         for step in range(1, d + 1):
-            out.append(CurvePoint(E, FieldElement(F, x), FieldElement(F, y)))
-            out.append(CurvePoint(E, FieldElement(F, x), FieldElement(F, F.rneg(y))))
-            x = F.rpow(x, q)
+            orbit += (CurvePoint(E, FieldElement(F, x), FieldElement(F, v)) for v in (y, F.rneg(y)))
+            x, y = F.rpow(x, q), F.rpow(y, q)
             if (x == x0) != (step == d):
                 raise InternalError(f"Frobenius orbit of {x0!r} does not close after exactly {d} steps")
-            if step < d:
-                y = F.rpow(y, q)
-    return out
+        yield from orbit
 
 
 def _span_table(P: CurvePoint, Q: CurvePoint, n: int) -> dict:

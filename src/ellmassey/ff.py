@@ -40,8 +40,10 @@ needs odd characteristic. Every Las Vegas routine here draws from its own
 ``random.Random(DEFAULT_SEED)`` stream, and every result is canonical (roots
 and factors sorted, the smaller square root), so the stream only decides how
 long a call takes, never what it returns. The one exception is which root
-``one_root`` returns; its caller in ``ec`` keeps the root's whole Frobenius
-orbit, which is canonical again.
+``one_root`` returns; its caller in ``ec`` builds all of E[n] by the group
+law from the points it draws and reads its basis off their coordinates,
+which is canonical again. ``distinct_degree_factors`` yields its stages one
+at a time, so a caller can stop once the stages seen answer it.
 """
 
 from __future__ import annotations
@@ -736,15 +738,17 @@ def factor_monic_squarefree(F: ExtField, f) -> list:
     return equal_degree_factors(F, distinct_degree_factors(F, f))
 
 
-def distinct_degree_factors(F: ExtField, f) -> list:
+def distinct_degree_factors(F: ExtField, f):
     """(d, product of the degree-d irreducible factors) of a squarefree f,
-    made monic, for each degree d that occurs, in increasing order."""
+    made monic, for each degree d that occurs, in increasing order.
+
+    A generator: each stage is found when the one before it has been taken,
+    so a caller can stop as soon as the stages seen so far answer it."""
     if F.p == 2:
         raise UnsupportedField("factorization in characteristic 2 is unsupported")
     f = poly_monic(F, list(f))
     if len(poly_gcd(F, f, poly_deriv(F, f))) != 1:
         raise ZeroPolynomial("factor_monic_squarefree needs a squarefree polynomial")
-    stages = []
     x = [F.zero_raw, F.one_raw]
     h = list(x)
     d = 0
@@ -754,12 +758,11 @@ def distinct_degree_factors(F: ExtField, f) -> list:
         h = poly_powmod(F, h, F.order, rest)
         g = poly_gcd(F, poly_sub(F, h, x), rest)
         if len(g) > 1:
-            stages.append((d, g))
+            yield d, g
             rest = poly_divmod(F, rest, g)[0]
             h = poly_rem(F, h, rest) if len(rest) > 1 else [F.zero_raw]
     if len(rest) > 1:
-        stages.append((len(rest) - 1, rest))
-    return stages
+        yield len(rest) - 1, rest
 
 
 def equal_degree_factors(F: ExtField, stages) -> list:

@@ -141,20 +141,15 @@ def transported_matrix(basis: ec.TorsionBasis, A0, u: int):
 
     (x, y) -> (u^2 x, u^3 y) is defined over F_p, so it commutes with
     Frobenius (Silverman, AEC III.1); it scales the table's coordinate keys,
-    whose sort gives the image's P (the least) and Q (the first off <P>) as
-    columns of M. The matrix on (P, Q) is M^-1 A0 M.
+    and ``ec.canonical_basis`` of the scaled table gives the image's basis
+    as the columns M of its coordinates on (P, Q). The matrix is M^-1 A0 M.
     """
-    n = basis.n
     p = basis.P.ctx.base.p
     u2, u3 = u * u % p, u * u * u % p
-    moved = sorted(
-        (tuple(c * u2 % p for c in key[1]), tuple(c * u3 % p for c in key[2]), vec)
-        for key, vec in basis.table.items()
-        if key != (0,)  # the point at infinity
-    )
-    P = moved[0][2]
-    Q = next(v for _, _, v in moved if mat_det(((P[0], v[0]), (P[1], v[1])), n))
-    return mat_conj(A0, ((P[0], Q[0]), (P[1], Q[1])), n)
+    # a key is (0,) for O, else (1, x, y)
+    moved = [((tuple(c * u2 % p for c in key[1]), tuple(c * u3 % p for c in key[2])), vec)
+             for key, vec in basis.table.items() if key != (0,)]
+    return mat_conj(A0, ec.canonical_basis(moved, basis.n)[2], basis.n)
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,28 @@ def verdict_table(chars, g: GbarGroup):
 def coded_verdicts(chars, indices, g: GbarGroup):
     """``triple_verdict`` of the triples of character indices in the flat
     sequence ``indices`` (three per triple), as ``(kinds, codes)`` like
-    ``verdict_table``."""
-    kinds = _Kinds()
+    ``verdict_table``. Each ordered pair's cup is decided once, when a
+    triple first needs it, into a flat list of n^2 slots (a dict of pairs
+    held 13 MB more at the peak of an l = 7 full-torsion sample)."""
+    check_group(g, *chars)
+    n, kinds, unset = len(chars), _Kinds(), object()
+    data = [unset] * (n * n)
+
+    def datum(i, j):
+        d = data[i * n + j]
+        if d is unset:
+            d = data[i * n + j] = _pair_datum(chars[i], chars[j], g)
+        return d
+
+    def verdict(i, j, k):
+        r = datum(i, j)
+        if r is None:
+            return _CUP12_NONZERO
+        t = datum(j, k)
+        return _CUP23_NONZERO if t is None else _defined_verdict(chars[i], chars[j], chars[k], r, t, g)
+
     it = iter(indices)
-    codes = bytearray(
-        kinds.code(triple_verdict(chars[i], chars[j], chars[k], g)) for i, j, k in zip(it, it, it)
-    )
-    return kinds, codes
+    return kinds, bytearray(kinds.code(verdict(i, j, k)) for i, j, k in zip(it, it, it))
 
 
 class _Kinds(list):

@@ -397,6 +397,38 @@ def test_engine_equals_oracle_on_every_group_build_gbar_can_return():
                    f"({time.monotonic()-t0:.1f}s)")
 
 
+def test_coded_verdicts_equal_triple_verdict_and_decide_each_pair_once(monkeypatch):
+    """The sampled-triple coder is triple_verdict on seeded samples of every
+    group build_gbar can return, and it decides each ordered pair's cup at
+    most once, however many triples share the pair."""
+    groups = _every_group()
+    data_calls = []
+    pair_datum = massey._pair_datum
+
+    def counted(chi_a, chi_b, g):
+        data_calls.append((id(chi_a), id(chi_b)))  # chars keeps every character alive
+        return pair_datum(chi_a, chi_b, g)
+
+    checked = 0
+    for g in groups:
+        chars = g.characters()
+        n = len(chars)
+        rng = random.Random(f"{g.ell} {g.case.value} {g.action} {g.constants}")
+        indices = [rng.randrange(n) for _ in range(3 * 300)]
+        indices += [i for i in range(n) for _ in range(3)]
+        data_calls.clear()
+        monkeypatch.setattr(massey, "_pair_datum", counted)
+        kinds, codes = massey.coded_verdicts(chars, indices, g)
+        monkeypatch.setattr(massey, "_pair_datum", pair_datum)
+        assert data_calls and len(data_calls) == len(set(data_calls))
+        assert len(codes) == len(indices) // 3
+        it = iter(indices)
+        for (i, j, k), code in zip(zip(it, it, it), codes):
+            assert kinds[code] == massey.triple_verdict(chars[i], chars[j], chars[k], g), (g, i, j, k)
+        checked += len(codes)
+    _report("3-5", f"{len(groups)} groups, {checked} sampled triples coded once per pair")
+
+
 def test_verdict_table_equals_triple_verdict_on_every_group_build_gbar_can_return():
     """The coded table of every group is triple_verdict on every triple of a
     group with at most 729, else on the triples the oracle sweep above

@@ -1,6 +1,7 @@
 """CLI behavior: flags, exit codes, output schema, determinism."""
 
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -365,6 +366,81 @@ def test_torsion_field_past_the_extension_cap_is_an_input_error(capsys):
     )
     assert code == 2
     assert data == {"error": {"message": "extension degree 99 outside 1..96"}}
+
+
+def test_oversized_torsion_field_is_refused_after_one_stage(capsys, monkeypatch):
+    """E[9] of y^2 = x^3 + x + 3 over GF(7^96): psi_9's first distinct-degree
+    stage leaves a factor of degree at least 2, so the torsion field has
+    degree at least 2 * 96 = 192 over GF(7), and make_field refuses that
+    lower bound without any later stage or quadratic-character power. The
+    message names the bound: the torsion field's own degree is 288.
+
+    In process this took 1.9-3.1 s (median 2.2 s) on a 2-core host, and 6.7 s
+    when every stage was found first; the budget is 3 times the median."""
+    from ellmassey import ff
+
+    stages, dd = [], ff.distinct_degree_factors
+
+    def counted(F, f):
+        for stage in dd(F, f):
+            stages.append(stage[0])
+            yield stage
+
+    monkeypatch.setattr(ff, "distinct_degree_factors", counted)
+    ec._torsion_field_degree.cache_clear()
+    t0 = time.perf_counter()
+    code, data = run_json(
+        capsys, "analyze", "--p", "7", "--k0", "96", "--a", "1", "--b", "3", "--ell", "3",
+        "--triples", "sample", "1",
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert data == {"error": {"message": "extension degree 192 outside 1..96"}}
+    assert stages == [1]  # the one stage of psi_9 drawn; the rank factors nothing
+    assert elapsed < 6.5, f"refusal took {elapsed:.1f} s"
+
+
+def _large_prime(rng, bits):
+    from ellmassey import ff
+
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if ff.is_prime(p):
+            return p
+
+
+LARGE_PRIME_BUDGET_S = 5.0  # per command; the slowest measured was 1.0 s in process
+
+
+def test_large_prime_inputs_finish_within_budget_and_honour_the_exit_contract():
+    """Seeded analyze and verify inputs at every l, with p of 20-73 bits and
+    k0 in {1, 2, 3}: each command ends in exit 0 or 2 (a field past the
+    stated 2^380 cap), never 1, 4 or a traceback, within its budget. The
+    torsion-field caches are cleared before each command, so each one pays
+    for its own fields."""
+    import random
+
+    rng = random.Random(20)
+    codes = []
+    for i in range(15):
+        ell, k0 = (3, 5, 7)[i % 3], (1, 2, 3)[i // 3 % 3]
+        p = _large_prime(rng, rng.randint(20, 73))
+        a, b = (",".join(str(rng.randrange(p)) for _ in range(k0)) for _ in "ab")
+        curve = ["--p", str(p), "--k0", str(k0), "--a", a, "--b", b, "--ell", str(ell)]
+        for argv in (["analyze", *curve, "--triples", "sample", "3"],
+                     ["verify", *curve, "--mode", "sample", "3"]):
+            ec._torsion_field_degree.cache_clear()
+            ec._rational_rank_cached.cache_clear()
+            out = io.StringIO()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            elapsed = time.perf_counter() - t0
+            assert code in (0, 2), (argv, out.getvalue())
+            assert elapsed < LARGE_PRIME_BUDGET_S, (argv, elapsed)
+            json.loads(out.getvalue())
+            codes.append(code)
+    assert codes.count(0) > 20
 
 
 def test_fixed_line_at_ell5_needs_no_torsion_field(capsys, monkeypatch):

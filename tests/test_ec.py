@@ -360,6 +360,124 @@ def test_factor_that_does_not_split_over_the_torsion_field_raises(monkeypatch):
         ec.torsion_basis(curve, 3)
 
 
+def _full_torsion_degree(curve, n):
+    """k with E[n] rational over the degree-k extension of the base, from
+    every irreducible factor of psi_n: the lcm d of the factor degrees,
+    doubled when some factor's x-coordinates have a nonsquare right-hand
+    side over GF(q^d)."""
+    F = curve.base
+    factors = ff.factor_monic_squarefree(F, ec._division_raw(curve, n))
+    k1 = lcm(*(d for d, _ in factors))
+    rhs = [curve.b.coeffs, curve.a.coeffs, F.zero_raw, F.one_raw]
+    for d, g in factors:
+        if (k1 // d) % 2 and ff.poly_powmod(F, rhs, (F.order**d - 1) // 2, g) != [F.one_raw]:
+            return 2 * k1
+    return k1
+
+
+def _every_orbit_basis(curve, n, k):
+    """(P, Q, table) as torsion_basis built them when it walked every factor:
+    the Frobenius orbit, with +-y, of one root of each irreducible factor of
+    psi_n, all n^2 - 1 points sorted, P the first with (n/l)P != O, Q the
+    first with (n/l)Q off <(n/l)P>, then the span table of (P, Q)."""
+    base = curve.base
+    big = ff.make_field(base.p, base.k * k)
+    E, emb, q = curve.over(big), ff.embed_field(base, big), base.order
+    points = []
+    for d, g in ff.factor_monic_squarefree(base, ec._division_raw(curve, n)):
+        x = ff.one_root(big, [emb.raw(c) for c in g])
+        y = ff.sqrt_in_field(E.rhs(ff.FieldElement(big, x))).coeffs
+        for _ in range(d):
+            points += [ec.CurvePoint(E, ff.FieldElement(big, x), ff.FieldElement(big, v))
+                       for v in (y, big.rneg(y))]
+            x, y = big.rpow(x, q), big.rpow(y, q)
+    points.sort(key=ec.CurvePoint.key)
+    assert len(set(points)) == n * n - 1
+    h = 3 if n == 9 else 1
+    P = next(T for T in points if not ec.scalar_mul(h, T).is_infinity)
+    line = {ec.scalar_mul(i * h, P).key() for i in range(n)}
+    Q = next(T for T in points if ec.scalar_mul(h, T).key() not in line)
+    return P, Q, ec._span_table(P, Q, n)
+
+
+def _seeded_basis_inputs(count, seed=27):
+    """(p, k0, a, b, n): n in {3, 5, 7, 9}, 5 <= p <= 23 prime to n, k0 in
+    {1, 2}, (a, b) uniform in GF(p^k0)^2 and nonsingular."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 5, 7, 9))
+        p = rng.choice([p for p in (5, 7, 11, 13, 17, 19, 23) if n % p])
+        k0 = rng.choice((1, 2))
+        a, b = (tuple(rng.randrange(p) for _ in range(k0)) for _ in "ab")
+        F = ff.make_field(p, k0)
+        if (F.element(a) ** 3 * 4 + F.element(b) ** 2 * 27).is_zero():
+            continue
+        out.append((p, k0, a, b, n))
+    return out
+
+
+def test_torsion_basis_equals_every_orbit_construction_on_a_seeded_sweep(monkeypatch):
+    """torsion_basis walks psi_n's factors only until two points span E[n] and
+    picks the basis on the span's coordinates (ec.canonical_basis); the
+    result is the basis, table and Frobenius matrix of the construction that
+    walked every factor, and it is refused exactly when the torsion field
+    passes make_field's caps. canonical_basis is also transported_matrix's
+    rule, which at u = 1 gives A0 back. Fewer roots are drawn than there are
+    factors over the whole sweep. About 5 s."""
+    one_root, roots = ff.one_root, [0]
+
+    def counted(F, g):
+        roots[0] += 1
+        return one_root(F, g)
+
+    built = refused = factors = 0
+    # E[7] of the last input lies over GF(31^84), past the 2^380 cap
+    for p, k0, a, b, n in _seeded_basis_inputs(30) + [(31, 2, (11, 0), (11, 5), 7)]:
+        curve = ec.curve_new(ff.make_field(p, k0), a, b)
+        k = _full_torsion_degree(curve, n)
+        if k0 * k > ff.MAX_EXT_DEGREE or p ** (k0 * k) > ff.MAX_FIELD_ORDER:
+            with pytest.raises(DegreeTooLarge):
+                ec.torsion_basis(curve, n)
+            refused += 1
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(ff, "one_root", counted)
+            basis = ec.torsion_basis(curve, n)
+        P, Q, table = _every_orbit_basis(curve, n, k)
+        assert (basis.k, basis.P, basis.Q, basis.table) == (k, P, Q, table), (p, k0, a, b, n)
+        A0 = ec.frobenius_matrix(basis)
+        assert A0 == ec.frobenius_matrix(ec.TorsionBasis(n, P, Q, k, table))
+        assert galois.transported_matrix(basis, A0, 1) == A0
+        built += 1
+        factors += len(ff.factor_monic_squarefree(curve.base, ec._division_raw(curve, n)))
+    assert built == 30 and refused == 1
+    assert roots[0] < factors
+
+
+def test_torsion_field_degree_stops_at_the_first_stage_past_the_caps(monkeypatch):
+    """psi_3 of y^2 = x^3 + x + 2 over GF(5^49) is irreducible of degree 4,
+    and E[3] lies over the degree-8 extension; the one stage already puts
+    that field at degree at least 4 * 49 = 196 over GF(5), past the cap, so
+    no quadratic-character power is taken and make_field refuses 196."""
+    F = ff.make_field(5, 49)
+    curve = ec.curve_new(F, F.element(1), F.element(2))
+    assert _full_torsion_degree(curve, 3) == 8
+    powmod, powers = ff.poly_powmod, []
+
+    def counted(F, f, e, m):
+        powers.append(e)
+        return powmod(F, f, e, m)
+
+    ec._torsion_field_degree.cache_clear()
+    monkeypatch.setattr(ff, "poly_powmod", counted)
+    k, stages = ec._torsion_field_degree(curve, 3)
+    assert (k, [d for d, _ in stages]) == (4, [4])
+    assert set(powers) == {F.order}  # X^q for the stages; no (q^d - 1)/2 character power
+    with pytest.raises(DegreeTooLarge, match="extension degree 196 outside 1..96"):
+        ec.torsion_basis(curve, 3)
+
+
 @pytest.mark.parametrize("p,n", [(5, 9), (7, 9), (11, 9), (13, 9), (7, 5), (11, 5)])
 def test_frobenius_matrix_has_det_q_and_trace_from_the_point_count(p, n):
     """Frobenius satisfies X^2 - tX + q with t = q + 1 - #E(F_q), and

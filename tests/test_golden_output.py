@@ -15,8 +15,11 @@ unipotent line over GF(13^2)) before the l = 3 normalization was read off
 Cayley-Hamilton and kernel vectors, and the last four (l = 3 full torsion
 with moved-vector witnesses, the l = 5 unipotent table, the 5^9-row l = 5
 full-torsion table and a 20,000-triple sample of it) before tables were
-held as one byte per triple and written in whole-pair blocks. So a
-refactor that changes any output byte fails here. To print the table for the current code, run
+held as one byte per triple and written in whole-pair blocks, and the
+last three (E[9] over an extension of GF(47), and the no-fixed-points
+reports at l = 5 and l = 7) before torsion_basis stopped walking psi_n's
+factors at the first spanning pair. So a refactor that changes any output
+byte fails here. To print the table for the current code, run
 
     PYTHONPATH=src python tests/test_golden_output.py
 """
@@ -76,6 +79,9 @@ GOLDEN = (
     ("analyze --p 11 --a 1 --b 7 --ell 5 --triples all", 0, "765661332543417d70478e5bd2e891cf691cc68d16a8e5111d70e08ae5304018"),
     ("analyze --p 31 --a 0 --b 11 --ell 5 --triples all --format csv", 0, "7fd4f559ecd775c6255504bf36848948a279219743af541e806da79906d30d4b"),
     ("analyze --p 31 --a 0 --b 11 --ell 5 --triples sample 20000 --format csv", 0, "cad96ec8bfdbc8f248115b944c2166fd0f969999690b915a53704bcec9a603bf"),
+    ("analyze --p 47 --a 35 --b 30 --ell 3 --triples all", 0, "ddcfec29dec083639310d48ab08f6f4f67fcc0e27e4e40e04e35f5074a4d85ad"),
+    ("analyze --p 13 --a 1 --b 5 --ell 5 --triples all", 0, "cd17a9e07a9098e57fe4816544b7498bda7de12137066d34eabcce5f58ba12fe"),
+    ("analyze --p 5 --a 0 --b 1 --ell 7 --triples all", 0, "866d12b1fa5fc4c6ed263f0bfe3d1c566891320a88ecc63f80776289e6a3a4ef"),
 )
 
 

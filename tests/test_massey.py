@@ -382,7 +382,7 @@ def test_more_than_256_verdict_kinds_is_an_internal_error(monkeypatch):
     chars = g.characters()
     fresh = itertools.count()
     monkeypatch.setattr(
-        massey, "triple_verdict",
+        massey, "_defined_verdict",
         lambda *args: massey.MasseyVerdict(VerdictStatus.EMPTY, f"kind-{next(fresh)}"),
     )
     kinds, codes = massey.coded_verdicts(chars, [0] * 3 * 256, g)
