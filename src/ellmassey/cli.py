@@ -404,10 +404,9 @@ def cmd_verify(args) -> int:
     if mode == "exhaustive":
         _check_table_cap(chars, EXHAUSTIVE_TRIPLE_CAP, "exhaustive verification", "--mode")
     indices, mode = _select_triples(len(chars), mode, count, args.seed)
-    it = iter(indices)
-    triples = [(chars[i], chars[j], chars[k]) for i, j, k in zip(it, it, it)]
+    it = map(chars.__getitem__, indices)
     mismatches = []
-    for c1, c2, c3 in triples:
+    for c1, c2, c3 in zip(it, it, it):
         v = massey.triple_verdict(c1, c2, c3, group)
         if not oracle.oracle_nonempty(c1, c2, c3, group):
             expected = massey.VerdictStatus.EMPTY
@@ -429,7 +428,7 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "case": group.case.value,
         "ell": group.ell,
-        "checked": len(triples),
+        "checked": len(indices) // 3,
         "mismatches": mismatches,
         "meta": {
             "seed": args.seed,

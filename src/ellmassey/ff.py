@@ -486,7 +486,7 @@ def make_field(p: int, k: int) -> ExtField:
     if k < 1 or k > MAX_EXT_DEGREE:
         raise DegreeTooLarge(f"extension degree {k} outside 1..{MAX_EXT_DEGREE}")
     if p**k > MAX_FIELD_ORDER:
-        raise DegreeTooLarge("fields larger than 2^380 elements are unsupported")
+        raise DegreeTooLarge(f"GF({p}^{k}) has more than 2^380 elements; larger fields are unsupported")
     if k == 1:
         return ExtField(p, 1, (0, 1))
     # by the theorem _binomial_irreducible cites, no X^k + c is irreducible

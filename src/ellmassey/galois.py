@@ -26,6 +26,11 @@ Every element has the normal form (torsion vector, phi exponent), with
 the normalized action of phi, not its elements. The relation set derived
 here is the single source of truth consumed by both the character
 enumeration and the lifting oracle.
+
+Abstract data (l = 3) must have generators I mod 3, as massey's lemmas (1)
+and (2) need, and then (3): (I + 3M)(I + 3N) = I + 3(M + N) mod 9, so they
+commute and cube to I, and pairs (g_i, chi_i) generate in GL2(Z/9) x Z/3
+the products of g_i^e_i, e_i in {0, 1, 2}, paired with sum e_i chi_i mod 3.
 """
 
 from __future__ import annotations
@@ -431,7 +436,7 @@ def first_kernel_vector(row):
 
 class AbstractGaloisData:
     """Galois-side input for the abstract checkers: generator matrices of the
-    image in GL2(Z/9) (each congruent to the identity mod 3), the character
+    image in GL2(Z/9) (each I mod 3, else NotCongruentIdentity), the character
     on those generators, the character's restriction to a 9-torsion basis,
     and two field-level flags the matrices cannot see.
 
@@ -440,8 +445,6 @@ class AbstractGaloisData:
     """
 
     __slots__ = (
-        "generators",
-        "chi_on_generators",
         "chi_on_torsion",
         "has_ninth_root",
         "unique_cubic_extension",
@@ -450,8 +453,6 @@ class AbstractGaloisData:
 
     def __init__(self, generators, chi_on_generators, chi_on_torsion,
                  has_ninth_root, unique_cubic_extension):
-        self.generators = generators
-        self.chi_on_generators = chi_on_generators
         self.chi_on_torsion = chi_on_torsion
         self.has_ninth_root = has_ninth_root
         self.unique_cubic_extension = unique_cubic_extension
@@ -476,20 +477,20 @@ class AbstractGaloisData:
         return all(g[0][1] == 0 and g[1][0] == 0 and g[0][0] == g[1][1] for g, _ in self.closure)
 
 
+def _check_congruent_identity(mat, idx):
+    """Lemma (3)'s premise; load_abstract checks it before parsing the next generator."""
+    if mat_sub(mat, mat_id(), 3) != ((0, 0), (0, 0)):
+        raise NotCongruentIdentity(f"generators[{idx}] is not congruent to the identity mod 3")
+
+
 def _augmented_closure(generators, chi_values):
-    gens = [(g, c % 3) for g, c in zip(generators, chi_values)]
-    seen = {(mat_id(), 0)}
-    frontier = [(mat_id(), 0)]
-    while frontier:
-        cur_m, cur_c = frontier.pop()
-        for g, c in gens:
-            nxt = (mat_mul(cur_m, g, 9), (cur_c + c) % 3)
-            if nxt not in seen:
-                if len(seen) >= 3**5:
-                    raise InvalidData("generated group is larger than the mod-3 congruence kernel allows")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    """The generated subgroup: g1^e1 ... gn^en, e_i in {0, 1, 2}, with sum e_i chi_i (lemma (3))."""
+    closure = {(mat_id(), 0)}
+    for idx, (g, c) in enumerate(zip(generators, chi_values)):
+        _check_congruent_identity(g, idx)
+        closure |= {(mat_mul(m, h, 9), (v + e * c) % 3)
+                    for e, h in ((1, g), (2, mat_mul(g, g, 9))) for m, v in closure}
+    return frozenset(closure)
 
 
 def _json_int(value, where: str) -> int:
@@ -525,10 +526,7 @@ def load_abstract(data: dict) -> AbstractGaloisData:
             tuple(_json_int(v, f"generators[{idx}][{i}][{j}]") % 9 for j, v in enumerate(row))
             for i, row in enumerate(g)
         )
-        if mat_sub(mat, mat_id(), 3) != ((0, 0), (0, 0)):
-            raise NotCongruentIdentity(f"generators[{idx}] is not congruent to the identity mod 3")
-        if mat_det(mat, 9) % 3 == 0:  # unreachable once = I mod 3 holds; kept as a guard
-            raise NotInvertible(f"generators[{idx}] is not invertible mod 9")
+        _check_congruent_identity(mat, idx)
         gens.append(mat)
     chis = data["chi_on_generators"]
     if not isinstance(chis, list) or len(chis) != len(gens):

@@ -30,6 +30,7 @@ vector, the lexicographically first order-9 vector a of ker(chi):
   (2) For iota = I mod 3, (iota - 4)b = 3Nb depends only on b mod 3, so the
       b outside ker(chi) reduce to six residues, and by (1) (iota - 4)b
       meets one kernel line iff it meets them all.
+  (3) In galois: the checkers' closure is the products of generator powers.
 """
 
 from __future__ import annotations

@@ -397,6 +397,48 @@ def test_engine_equals_oracle_on_every_group_build_gbar_can_return():
                    f"({time.monotonic()-t0:.1f}s)")
 
 
+def _projective_representatives(chars):
+    """The zero character and every character whose first nonzero value is 1:
+    one per line of the character group."""
+    return [chi for chi in chars if next((v for v in chi.values if v), 1) == 1]
+
+
+def test_engine_equals_oracle_on_every_projective_triple_of_every_group():
+    """Engine = oracle on every triple of projective representatives of every
+    group build_gbar can return. Both answers are invariant under
+    chi_i -> a_i chi_i for units a_i (criterion 8 for the engine, the next
+    test for the oracle), so these triples stand for every triple."""
+    t0 = time.monotonic()
+    checked = {3: 0, 5: 0, 7: 0}
+    for g in _every_group():
+        reps = _projective_representatives(g.characters())
+        checked[g.ell] += len(reps) ** 3
+        assert _agreement_sweep(g, itertools.product(reps, repeat=3)) == 0, g
+    assert checked == {3: 223_772, 5: 33_462, 7: 196_578}
+    _report(3, f"{sum(checked.values())} projective triples of 102 groups vs oracle, "
+               f"0 mismatches ({time.monotonic()-t0:.1f}s)")
+
+
+def test_oracle_answers_are_invariant_under_unit_scaling():
+    """The premise of the sweep above on the oracle side: conjugating a lift
+    by diag(1, a1, a1 a2, a1 a2 a3) lifts the scaled triple, so the cup,
+    nonempty and contains-zero answers do not move under chi_i -> a_i chi_i."""
+    statuses = {}
+    for g in _every_group():
+        chars = g.characters()
+        rng = random.Random(f"scaling {g.ell} {g.case.value} {g.action}")
+        for _ in range(40):
+            t = [rng.choice(chars) for _ in range(3)]
+            s = [chi.scaled(rng.randrange(1, g.ell)) for chi in t]
+            for i in (0, 1):
+                assert oracle.oracle_cup(t[i], t[i + 1], g) == oracle.oracle_cup(s[i], s[i + 1], g), (g, t, s)
+            status = _oracle_status(*t, g)
+            assert _oracle_status(*s, g) == status, (g, t, s)
+            statuses[status] = statuses.get(status, 0) + 1
+    assert set(statuses) == {"Empty", "ContainsZero", "NonVanishing"}, statuses
+    _report(8, f"oracle cups and statuses unchanged on scaled triples: {statuses}")
+
+
 def test_coded_verdicts_equal_triple_verdict_and_decide_each_pair_once(monkeypatch):
     """The sampled-triple coder is triple_verdict on seeded samples of every
     group build_gbar can return, and it decides each ordered pair's cup at

@@ -175,6 +175,24 @@ def test_analyze_table_holds_one_byte_per_triple(argv, bound_mb):
     assert peak < bound_mb * 2**20, peak
 
 
+def test_verify_sample_holds_index_arrays_not_character_triples():
+    """A verify sample keeps its triples as the index array, as analyze does:
+    50,000 triples peak within 1 MB of 1,000 (a tuple of characters per
+    triple held about 3.6 MB more)."""
+    def peak(count):
+        argv = f"verify --p 7 --a 1 --b 1 --ell 5 --mode sample {count}".split()
+        with contextlib.redirect_stdout(_NullSink()):
+            assert cli.main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(50000) - peak(1000) < 2**20
+
+
 @pytest.mark.parametrize("triples", [["all"], ["sample", "5000"], ["same-char"]])
 def test_analyze_decides_every_verdict_before_the_first_row(monkeypatch, triples):
     """meta.elapsed_ms covers the verdicts: they are all decided before any
@@ -398,6 +416,15 @@ def test_oversized_torsion_field_is_refused_after_one_stage(capsys, monkeypatch)
     assert data == {"error": {"message": "extension degree 192 outside 1..96"}}
     assert stages == [1]  # the one stage of psi_9 drawn; the rank factors nothing
     assert elapsed < 6.5, f"refusal took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("command", ("analyze", "verify"))
+def test_field_past_the_order_cap_is_refused_naming_p_and_the_degree(capsys, command):
+    # p has 82 bits, so the base field GF(p^5) has about 2^407 elements
+    p = 3000000000000000000000007
+    code, data = run_json(capsys, command, "--p", str(p), "--k0", "5", "--a", "1", "--b", "1", "--ell", "3")
+    assert code == 2
+    assert data == {"error": {"message": f"GF({p}^5) has more than 2^380 elements; larger fields are unsupported"}}
 
 
 def _large_prime(rng, bits):

@@ -14,6 +14,7 @@ from ellmassey.errors import (
     UnsupportedLevel,
 )
 from ellmassey.galois import (
+    AbstractGaloisData,
     GaloisCase,
     build_gbar,
     case_from_rank,
@@ -550,6 +551,15 @@ def test_load_abstract_validation_errors():
     with pytest.raises(InvalidData):
         # identity-only closure fixes them, so has_ninth_root = False is inconsistent
         load_abstract(_data([[[1, 0], [0, 1]]], ninth=False))
+
+
+def test_abstract_data_refuses_a_generator_not_congruent_to_identity():
+    # the premise of the closure and of both checkers holds wherever the
+    # data is built, not only where a JSON payload is loaded
+    with pytest.raises(NotCongruentIdentity, match=r"generators\[1\]"):
+        AbstractGaloisData((((4, 0), (0, 4)), ((2, 0), (0, 1))), (0, 0), (1, 0), False, False)
+    with pytest.raises(NotCongruentIdentity, match=r"generators\[0\]"):
+        AbstractGaloisData((((2, 0), (0, 1)),), (0,), (1, 0), False, False)
 
 
 def test_closure_dets_congruent_1_mod_3():
