@@ -20,8 +20,9 @@ input error. ``analyze`` decides every verdict first, held as
 ``(kinds, codes)``: the distinct verdicts and one code byte per triple
 (``massey.verdict_table`` for ``--triples all``). It then writes its rows as
 it goes, about ROWS_PER_WRITE at a time, so meta.elapsed_ms covers the
-verdicts but not the writing. A
-galois-check file nested too deeply to decode is invalid data.
+verdicts but not the writing. ``verify`` checks those same coded verdicts
+against the oracle. A galois-check file nested too deeply to decode is
+invalid data.
 
 All output is deterministic for fixed flags except the meta.elapsed_ms
 timing field. --seed selects the triples of ``sample N`` and is echoed in
@@ -82,8 +83,7 @@ def cmd_search(args) -> int:
     from . import ec, ff, galois
 
     ell = args.ell
-    if ell not in ec.SUPPORTED_ELLS:
-        raise InputError("--ell must be 3, 5 or 7")
+    ec.check_level(ell)
     if args.case == "full3" and ell != 3:
         raise InputError("--case full3 requires --ell 3")
     if args.max_p > ec.POINT_COUNT_CAP:
@@ -97,7 +97,7 @@ def cmd_search(args) -> int:
     }[args.case]
     rows = []
     for p in range(5, args.max_p + 1):
-        if p == ell or not ff.is_prime(p):
+        if p == ell or not ff.is_prime(p):  # check_level refuses l = p, so the scan skips it
             continue
         if args.case in ("full3", "unipotent") and p % ell != 1:
             continue
@@ -257,9 +257,9 @@ def _report_matrices(curve, group):
     directly when the torsion field is small enough, else reported as null.
     Two caps bound the field the report would build: its degree over GF(p),
     not over the curve's base field (at most twice that of the
-    x-coordinates), and its order (ff.MAX_FIELD_ORDER). The degree is at
-    least 2 k0, so when k0 alone breaks a cap the report is null without
-    factoring psi_l.
+    x-coordinates), and ``ff.field_size_refusal``, whose order cap is the
+    one left below that degree. The degree is at least 2 k0, so when k0
+    alone breaks a cap the report is null without factoring psi_l.
     """
     from . import ec, ff, galois
 
@@ -267,7 +267,7 @@ def _report_matrices(curve, group):
         return tuple(tuple(v % group.ell for v in row) for row in group.action), group.action
 
     def past_caps(degree):
-        return degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP or curve.base.p**degree > ff.MAX_FIELD_ORDER
+        return degree > NO_FIXED_POINTS_REPORT_DEGREE_CAP or ff.field_size_refusal(curve.base.p, degree)
 
     if past_caps(2 * curve.base.k):
         return None, None
@@ -403,11 +403,15 @@ def cmd_verify(args) -> int:
     chars = group.characters()
     if mode == "exhaustive":
         _check_table_cap(chars, EXHAUSTIVE_TRIPLE_CAP, "exhaustive verification", "--mode")
-    indices, mode = _select_triples(len(chars), mode, count, args.seed)
+    indices, label = _select_triples(len(chars), mode, count, args.seed)
+    # the coders analyze prints through; the table's product order is the indices' order
+    if mode == "exhaustive":
+        kinds, codes = massey.verdict_table(chars, group)
+    else:
+        kinds, codes = massey.coded_verdicts(chars, indices, group)
     it = map(chars.__getitem__, indices)
     mismatches = []
-    for c1, c2, c3 in zip(it, it, it):
-        v = massey.triple_verdict(c1, c2, c3, group)
+    for v, c1, c2, c3 in zip(map(kinds.__getitem__, codes), it, it, it):
         if not oracle.oracle_nonempty(c1, c2, c3, group):
             expected = massey.VerdictStatus.EMPTY
         elif oracle.oracle_contains_zero(c1, c2, c3, group):
@@ -432,7 +436,7 @@ def cmd_verify(args) -> int:
         "mismatches": mismatches,
         "meta": {
             "seed": args.seed,
-            "mode": mode,
+            "mode": label,
             "elapsed_ms": int((time.monotonic() - t0) * 1000),
         },
     }

@@ -5,6 +5,11 @@ polynomials, deterministic n-torsion bases over the minimal extension field,
 the Frobenius matrix on a torsion basis, and the Weil pairing by Miller's
 formula e_n(P, Q) = (-1)^n f_P(Q) / f_Q(P).
 
+The level rule lives here alone: SUPPORTED_ELLS, the level l' = ell_prime(l)
+at which Frobenius is tracked and its inverse ``level_prime``, and
+``check_level``, which every public function that builds psi_n, a torsion
+basis, a rank, a case or a group from a level calls first.
+
 Division polynomials follow the y-normalized convention: the cached
 polynomial for even index m is psi_m / y, so every entry is univariate in x
 once y^2 = x^3 + ax + b is substituted.
@@ -31,7 +36,30 @@ from .ff import ExtField, FieldElement
 
 POINT_COUNT_CAP = 50021
 SUPPORTED_ELLS = (3, 5, 7)
-TORSION_LEVELS = SUPPORTED_ELLS + (9,)
+
+
+def ell_prime(ell: int) -> int:
+    """Torsion level at which Frobenius must be tracked: 9 for l=3, else l."""
+    return 9 if ell == 3 else ell
+
+
+def level_prime(n: int) -> int:
+    """The prime l of a torsion level n = l or ell_prime(l): 3 for 9, else n."""
+    return 3 if n == 9 else n
+
+
+TORSION_LEVELS = tuple(sorted({*SUPPORTED_ELLS, *map(ell_prime, SUPPORTED_ELLS)}))
+
+
+def check_level(n: int, p: int | None = None, levels=SUPPORTED_ELLS) -> None:
+    """The one level rule: n must be one of ``levels`` (SUPPORTED_ELLS, or
+    TORSION_LEVELS where a level l' is meant too), else UnsupportedLevel,
+    and prime to the characteristic p when one is given, else
+    BadCharacteristic."""
+    if n not in levels:
+        raise UnsupportedLevel(f"ell must be one of {SUPPORTED_ELLS}")
+    if p is not None and n % p == 0:
+        raise BadCharacteristic("ell equals the characteristic")
 
 
 class Curve:
@@ -191,15 +219,21 @@ def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return Q
     if Q.is_infinity:
         return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return P.ctx.infinity()
-        lam = (P.x * P.x * 3 + P.ctx.a) / (P.y * 2)
+    return _chord(P, Q)[1]
+
+
+def _chord(A: CurvePoint, B: CurvePoint):
+    """(slope, A + B) for affine A, B on one curve, by the chord through them
+    or the tangent when A = B; the slope is None when the line is vertical
+    (B = -A, so A + B = O)."""
+    if A.x == B.x:
+        if A.y == -B.y:
+            return None, A.ctx.infinity()
+        lam = (A.x * A.x * 3 + A.ctx.a) / (A.y * 2)
     else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return CurvePoint(P.ctx, x3, y3)
+        lam = (B.y - A.y) / (B.x - A.x)
+    x3 = lam * lam - A.x - B.x
+    return lam, CurvePoint(A.ctx, x3, lam * (A.x - x3) - A.y)
 
 
 def scalar_mul(m: int, P: CurvePoint) -> CurvePoint:
@@ -248,11 +282,8 @@ def _raw_elements(F: ExtField):
 # division polynomials (odd n), y-normalized
 
 def division_polynomial(curve: Curve, n: int) -> list[FieldElement]:
-    """psi_n for odd n in {3,5,7,9}: roots are the x-coordinates of E[n]-{O}."""
-    if n not in TORSION_LEVELS:
-        raise UnsupportedLevel(f"division polynomials provided for n in {TORSION_LEVELS}")
-    if n % curve.base.p == 0:
-        raise BadCharacteristic("torsion level must be coprime to the characteristic")
+    """psi_n for n in TORSION_LEVELS: roots are the x-coordinates of E[n]-{O}."""
+    check_level(n, curve.base.p, TORSION_LEVELS)
     raw = _division_raw(curve, n)
     return [FieldElement(curve.base, c) for c in raw]
 
@@ -345,13 +376,10 @@ def torsion_basis(curve: Curve, n: int) -> TorsionBasis:
     ``canonical_basis`` of that table, and the basis carries its coordinate
     table {iP + jQ: (i, j)}.
     """
-    if n not in TORSION_LEVELS:
-        raise UnsupportedLevel(f"torsion levels supported: {TORSION_LEVELS}")
-    if n % curve.base.p == 0:
-        raise BadCharacteristic("torsion level must be coprime to the characteristic")
+    check_level(n, curve.base.p, TORSION_LEVELS)
     k, stages = _torsion_field_degree(curve, n)
     points = _torsion_points(curve, ff.make_field(curve.base.p, curve.base.k * k), stages)
-    h = 3 if n == 9 else 1  # n / l: every level is a prime or 9
+    h = n // level_prime(n)
     try:
         P0 = next(T for T in points if not scalar_mul(h, T).is_infinity)
         line = _multiple_keys(scalar_mul(h, P0), n // h)
@@ -382,7 +410,7 @@ def canonical_basis(pairs, n: int):
     least point of order n and Q the least point off that line. The table
     on (P, Q) is M^-1 applied to the given one.
     """
-    ell = 3 if n == 9 else n
+    ell = level_prime(n)
     # keys are distinct, so min compares keys only
     kP, (a, b) = min(item for item in pairs if item[1][0] % ell or item[1][1] % ell)
     kQ, (c, d) = min(item for item in pairs if (a * item[1][1] - b * item[1][0]) % ell)
@@ -414,7 +442,7 @@ def _torsion_field_degree(curve: Curve, n: int):
         stages.append((d, g))
         k1, left = lcm(k1, d), left - (len(g) - 1)
         bound = max(k1, d + 1) if left else k1
-        if F.k * bound > ff.MAX_EXT_DEGREE or F.p ** (F.k * bound) > ff.MAX_FIELD_ORDER:
+        if ff.field_size_refusal(F.p, F.k * bound):
             return bound, tuple(stages)
     a, b = curve.a.coeffs, curve.b.coeffs
     h = [b, a, F.zero_raw, F.one_raw]
@@ -547,36 +575,27 @@ def _miller(P: CurvePoint, S: CurvePoint, n: int):
     f = P.ctx.base.one
     V = P
     for bit in bin(n)[3:]:
-        val = _line_quotient(V, V, S)
+        val, V = _line_quotient(V, V, S)
         if val is None:
             return None
         f = f * f * val
-        V = point_add(V, V)
         if bit == "1":
-            val = _line_quotient(V, P, S)
+            val, V = _line_quotient(V, P, S)
             if val is None:
                 return None
             f = f * val
-            V = point_add(V, P)
     return f
 
 
 def _line_quotient(A: CurvePoint, B: CurvePoint, S: CurvePoint):
-    """Value at S of line(A,B) / vertical(A+B) for affine A, B; None on a zero or pole."""
-    ctx = A.ctx
-    if A.x == B.x and A.y == -B.y:
-        val = S.x - A.x  # vertical line; A + B = O has no vertical denominator
-        return None if val.is_zero() else val
-    if A == B:
-        lam = (A.x * A.x * 3 + ctx.a) / (A.y * 2)
+    """(value at S of line(A,B) / vertical(A+B), A + B) for affine A, B, by
+    ``_chord``; the value is None on a zero or pole."""
+    lam, C = _chord(A, B)
+    if lam is None:  # vertical line; A + B = O has no vertical denominator
+        num, den = S.x - A.x, A.ctx.base.one
     else:
-        lam = (B.y - A.y) / (B.x - A.x)
-    xc = lam * lam - A.x - B.x
-    num = (S.y - A.y) - lam * (S.x - A.x)
-    den = S.x - xc
-    if num.is_zero() or den.is_zero():
-        return None
-    return num / den
+        num, den = (S.y - A.y) - lam * (S.x - A.x), S.x - C.x
+    return (None if num.is_zero() or den.is_zero() else num / den), C
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +649,5 @@ def _rational_rank_cached(curve: Curve, ell: int) -> int:
 
 def rational_torsion_rank(curve: Curve, ell: int) -> int:
     """Rank r in {0,1,2} of E(F_q)[ell] (the Frobenius-fixed points of E[ell])."""
-    if ell not in SUPPORTED_ELLS:
-        raise UnsupportedLevel("rational torsion rank implemented for ell in {3,5,7}")
+    check_level(ell, curve.base.p)
     return _rational_rank_cached(curve, ell)

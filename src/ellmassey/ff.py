@@ -462,6 +462,17 @@ class FieldElement:
         return f"FieldElement{self.coeffs}"
 
 
+def field_size_refusal(p: int, k: int) -> str | None:
+    """``make_field``'s refusal text for GF(p^k) when its degree or order
+    breaks a cap (MAX_EXT_DEGREE, MAX_FIELD_ORDER), else None: the one
+    statement of the field-size rule."""
+    if k < 1 or k > MAX_EXT_DEGREE:
+        return f"extension degree {k} outside 1..{MAX_EXT_DEGREE}"
+    if p**k > MAX_FIELD_ORDER:
+        return f"GF({p}^{k}) has more than 2^380 elements; larger fields are unsupported"
+    return None
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> ExtField:
     """GF(p^k) with the lexicographically smallest monic irreducible modulus.
@@ -483,10 +494,9 @@ def make_field(p: int, k: int) -> ExtField:
         )
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if k < 1 or k > MAX_EXT_DEGREE:
-        raise DegreeTooLarge(f"extension degree {k} outside 1..{MAX_EXT_DEGREE}")
-    if p**k > MAX_FIELD_ORDER:
-        raise DegreeTooLarge(f"GF({p}^{k}) has more than 2^380 elements; larger fields are unsupported")
+    refusal = field_size_refusal(p, k)
+    if refusal:
+        raise DegreeTooLarge(refusal)
     if k == 1:
         return ExtField(p, 1, (0, 1))
     # by the theorem _binomial_irreducible cites, no X^k + c is irreducible

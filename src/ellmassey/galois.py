@@ -1,8 +1,9 @@
 """The finite quotient through which every Z/l-character of pi_1(E) factors.
 
-For a curve over F_q and an odd prime l in {3,5,7} the group is a semidirect
-product Gbar = Tbar x| <phi> where phi has order l' (9 when l = 3, else l)
-and Tbar is a quotient of the l'-torsion determined by the shape of the
+For a curve over F_q and an odd prime l in ec.SUPPORTED_ELLS (the level
+rule is ec.check_level's) the group is a semidirect product
+Gbar = Tbar x| <phi> where phi has order l' (9 when l = 3, else l) and Tbar
+is a quotient of the l'-torsion determined by the shape of the
 Frobenius action mod l:
 
   full_torsion     Frobenius trivial on E[l]; Tbar = E[l'], rank 2
@@ -40,18 +41,14 @@ from collections import namedtuple
 from enum import Enum
 
 from . import ec
+from .ec import ell_prime
 from .errors import (
     CaseMismatch,
     GroupMismatch,
     InvalidData,
     NotCongruentIdentity,
     NotInvertible,
-    UnsupportedLevel,
 )
-
-def ell_prime(ell: int) -> int:
-    """Torsion level at which Frobenius must be tracked: 9 for l=3, else l."""
-    return 9 if ell == 3 else ell
 
 
 class GaloisCase(Enum):
@@ -115,8 +112,7 @@ def mat_sub(A, B, n):
 
 def classify_case(A, ell: int) -> GaloisCase:
     """Shape of a mod-l Frobenius matrix: identity, no fixed line, split, unipotent."""
-    if ell not in ec.SUPPORTED_ELLS:
-        raise UnsupportedLevel(f"classification defined at prime level, ell in {ec.SUPPORTED_ELLS}")
+    ec.check_level(ell)
     M = mat_sub(A, mat_id(), ell)
     if M == ((0, 0), (0, 0)):
         return GaloisCase.FULL_TORSION
@@ -376,10 +372,7 @@ def build_gbar(curve: ec.Curve, ell: int) -> GbarGroup:
                   column (1 + l*alpha, l*gamma), second (1, 1); c = gamma.
     no_fixed_points: the torsion part is trivial (phi^{l'}-1 is invertible).
     """
-    if ell not in ec.SUPPORTED_ELLS:
-        raise UnsupportedLevel(f"ell must be one of {ec.SUPPORTED_ELLS}")
-    if curve.base.p == ell:
-        raise UnsupportedLevel("ell equals the characteristic")
+    ec.check_level(ell, curve.base.p)
     lp = ell_prime(ell)
     q = curve.base.order
     case = case_from_rank(ec.rational_torsion_rank(curve, ell), q, ell)

@@ -599,7 +599,7 @@ def test_verify_mismatch_exits_1_with_one_row_per_mismatch(capsys, monkeypatch):
     from ellmassey.oracle import oracle_contains_zero, oracle_nonempty
 
     forced = MasseyVerdict(VerdictStatus.CONTAINS_ZERO, "forced")
-    monkeypatch.setattr(massey, "triple_verdict", lambda c1, c2, c3, g: forced)
+    monkeypatch.setattr(massey, "verdict_table", lambda chars, g: ([forced], bytearray(len(chars) ** 3)))
     code, data = run_json(capsys, "verify", "--p", "5", "--a", "0", "--b", "1", "--ell", "3")
     assert code == 1
     group = galois.build_gbar(ec.curve_new(ff.make_field(5, 1), 0, 1), 3)
@@ -625,6 +625,56 @@ def test_verify_mismatch_exits_1_with_one_row_per_mismatch(capsys, monkeypatch):
     assert expected
     assert all(set(row) == {"chi1", "chi2", "chi3", "engine", "oracle"} for row in data["mismatches"])
     assert data["mismatches"] == expected
+
+
+@pytest.mark.parametrize("mode", (["exhaustive"], ["sample", "40"]), ids=("exhaustive", "sample"))
+def test_verify_checks_the_coded_verdicts_analyze_prints(capsys, monkeypatch, mode):
+    """verify decides through the coder analyze prints through (the table in
+    product order, or the sample's coded verdicts): a coder that gets one
+    triple wrong gives exit 1 and exactly that triple's mismatch row."""
+    from ellmassey import massey
+
+    coder = "verdict_table" if mode == ["exhaustive"] else "coded_verdicts"
+    real, planted = getattr(massey, coder), {}
+
+    def wrong_once(chars, *rest):
+        kinds, codes = real(chars, *rest)
+        n, slot = len(chars), 7
+        if coder == "coded_verdicts":
+            triple = rest[0][3 * slot:3 * slot + 3]
+        else:
+            triple = (slot // (n * n), slot // n % n, slot % n)
+        right = kinds[codes[slot]].status
+        wrong = next(s for s in massey.VerdictStatus if s is not right)
+        codes[slot] = len(kinds)
+        planted.update({f"chi{i}": list(chars[t].values) for i, t in enumerate(triple, 1)},
+                       engine=wrong.value, oracle=right.value)
+        return [*kinds, massey.MasseyVerdict(wrong, "planted")], codes
+
+    monkeypatch.setattr(massey, coder, wrong_once)
+    code, data = run_json(capsys, "verify", "--p", "7", "--a", "0", "--b", "1", "--ell", "3", "--mode", *mode)
+    assert code == 1
+    assert data["mismatches"] == [planted]
+
+
+@pytest.mark.parametrize("ell", ["-3", "0", "2", "4", "9", "11"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "search"])
+def test_unsupported_ell_is_refused_with_one_text(capsys, command, ell):
+    """ec.check_level is the one owner of the level rule: every command
+    refuses an unsupported --ell with its one text, 9 included (a level
+    l', not a prime l)."""
+    if command == "search":
+        argv = ("search", "--ell", ell, "--case", "split", "--max-p", "20")
+    else:
+        argv = (command, "--p", "11", "--a", "1", "--b", "7", "--ell", ell)
+    assert run_json(capsys, *argv) == (2, {"error": {"message": "ell must be one of (3, 5, 7)"}})
+
+
+@pytest.mark.parametrize("p", ["5", "7"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_ell_equal_to_the_characteristic_is_refused_with_one_text(capsys, command, p):
+    code, data = run_json(capsys, command, "--p", p, "--a", "1", "--b", "1", "--ell", p)
+    assert (code, data) == (2, {"error": {"message": "ell equals the characteristic"}})
 
 
 @pytest.mark.parametrize("count", ["x", "abc", "1.5", "-3"])

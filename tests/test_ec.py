@@ -14,6 +14,7 @@ from ellmassey.errors import (
     DegreeTooLarge,
     FieldMismatch,
     FieldTooLarge,
+    InputError,
     InternalError,
     NotTorsion,
     SingularCurve,
@@ -478,6 +479,58 @@ def test_torsion_field_degree_stops_at_the_first_stage_past_the_caps(monkeypatch
         ec.torsion_basis(curve, 3)
 
 
+@pytest.mark.parametrize(
+    "p,k0,a,b,refused_at",
+    [
+        # psi_3 of these curves is (degree 1)(degree 3) over GF(p), and stays
+        # so over GF(p^k0) as 3 does not divide k0, so the bounds after its two
+        # stages are 2 k0 and 3 k0: 64, 96; 94, 141; 68, 102; 98 for the
+        # degree cap 96 ...
+        (7, 32, 1, 3, None), (7, 47, 1, 3, 2), (7, 34, 1, 3, 2), (7, 49, 1, 3, 1),
+        # ... and, at k0 = 5, p^10 and p^15 on both sides of the order cap 2^380
+        (42275929, 5, 1, 1, None), (42276019, 5, 1, 1, 2),
+        (274877906899, 5, 1, 1, 2), (274877907061, 5, 1, 1, 1),
+    ],
+)
+def test_torsion_field_degree_stops_exactly_where_make_field_refuses(monkeypatch, p, k0, a, b, refused_at):
+    """After each distinct-degree stage of psi_n the torsion field's degree
+    over the base is at least the lcm of the stage degrees so far, or d + 1
+    while a factor is left. _torsion_field_degree returns the first such
+    bound at which make_field refuses, with the stages up to it and without
+    a quadratic-character power; when make_field refuses none, it returns
+    every stage and decides the doubling."""
+    F = ff.make_field(p, k0)
+    curve = ec.curve_new(F, F.element(a), F.element(b))
+    psi = ec._division_raw(curve, 3)
+    every = tuple(ff.distinct_degree_factors(F, psi))
+    assert [d for d, _ in every] == [1, 3]
+    expected, k1, left = None, 1, len(psi) - 1
+    for i, (d, g) in enumerate(every):
+        k1, left = lcm(k1, d), left - (len(g) - 1)
+        bound = max(k1, d + 1) if left else k1
+        try:
+            ff.make_field(p, k0 * bound)
+        except DegreeTooLarge:
+            expected = (bound, every[:i + 1])
+            break
+    assert (expected and len(expected[1])) == refused_at
+    powmod, powers = ff.poly_powmod, []
+
+    def counted(F, f, e, m):
+        powers.append(e)
+        return powmod(F, f, e, m)
+
+    ec._torsion_field_degree.cache_clear()
+    monkeypatch.setattr(ff, "poly_powmod", counted)
+    k, stages = ec._torsion_field_degree(curve, 3)
+    if expected is None:
+        assert stages == every and k in (3, 6)
+        assert set(powers) - {F.order}  # the quadratic character was decided
+    else:
+        assert (k, stages) == expected
+        assert set(powers) <= {F.order}
+
+
 @pytest.mark.parametrize("p,n", [(5, 9), (7, 9), (11, 9), (13, 9), (7, 5), (11, 5)])
 def test_frobenius_matrix_has_det_q_and_trace_from_the_point_count(p, n):
     """Frobenius satisfies X^2 - tX + q with t = q + 1 - #E(F_q), and
@@ -671,6 +724,13 @@ def test_rational_torsion_rank():
     assert ec.rational_torsion_rank(ec.curve_new(F5, 0, 1), 3) == 1
     # y^2 = x^3 + x over GF(5): 4 points, no 3-torsion
     assert ec.rational_torsion_rank(ec.curve_new(F5, 1, 0), 3) == 0
+
+
+def test_rational_torsion_rank_refuses_ell_equal_to_the_characteristic():
+    # psi_7 over GF(7) has degree 21, not 24: the level rule refuses the
+    # input before _division_raw's degree check can call it a program fault
+    with pytest.raises(InputError, match="^ell equals the characteristic$"):
+        ec.rational_torsion_rank(ec.curve_new(F7, 1, 3), 7)
 
 
 def _rational_torsion_count(curve, ell):
